@@ -22,6 +22,7 @@
 //!
 //! Run with `cargo bench -p sleepwatch-bench --bench compact_format`.
 
+use sleepwatch_bench::{best, env_or};
 use sleepwatch_core::{
     analyze_world, dataset_rows, encode_dataset, read_dataset, write_dataset_rows, AnalysisConfig,
     BinDataset, DatasetMode, DatasetStats,
@@ -32,14 +33,6 @@ use std::time::Instant;
 /// The TSV dataset must be at least this many times larger than the
 /// seed-joined binary container.
 const MIN_SIZE_RATIO: f64 = 10.0;
-
-fn env_or(name: &str, default: f64) -> f64 {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
-
-fn best(xs: &[f64]) -> f64 {
-    xs.iter().copied().fold(f64::INFINITY, f64::min)
-}
 
 fn main() {
     let blocks = env_or("FORMAT_BENCH_BLOCKS", 50_000.0) as usize;

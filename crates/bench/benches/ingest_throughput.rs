@@ -38,6 +38,7 @@
 //!
 //! Run with `cargo bench -p sleepwatch-bench --bench ingest_throughput`.
 
+use sleepwatch_bench::{best, env_or};
 use sleepwatch_core::{ingest_direct, ingest_events, AnalysisConfig, IngestConfig};
 use sleepwatch_probing::{interleave, replay_run, RoundEvent, TrinocularProber};
 use sleepwatch_simnet::{WorldConfig, WorldSource};
@@ -48,14 +49,6 @@ const MIN_ROUNDS_PER_S_PER_SHARD: f64 = 200_000.0;
 /// Maximum queue-machinery cost as a fraction of the direct pipeline's
 /// wall time.
 const MAX_OVERHEAD: f64 = 0.05;
-
-fn env_or(name: &str, default: f64) -> f64 {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
-
-fn best(xs: &[f64]) -> f64 {
-    xs.iter().copied().fold(f64::INFINITY, f64::min)
-}
 
 fn main() {
     let blocks = env_or("STREAM_BENCH_BLOCKS", 2_000.0) as usize;

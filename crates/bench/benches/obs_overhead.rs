@@ -11,6 +11,7 @@
 //! Run with `cargo bench -p sleepwatch-bench --bench obs_overhead`.
 //! `OBS_BENCH_ITERS` overrides the sample count for noisy machines.
 
+use sleepwatch_bench::median;
 use sleepwatch_core::{analyze_world, AnalysisConfig};
 use sleepwatch_probing::TrinocularConfig;
 use sleepwatch_simnet::{World, WorldConfig};
@@ -18,11 +19,6 @@ use std::time::Instant;
 
 /// Timing budget: instrumented may cost at most 3 % over disabled.
 const MAX_OVERHEAD: f64 = 1.03;
-
-fn median(xs: &mut [f64]) -> f64 {
-    xs.sort_by(|a, b| a.partial_cmp(b).expect("timings are finite"));
-    xs[xs.len() / 2]
-}
 
 fn run_once(world: &World, cfg: &AnalysisConfig) -> f64 {
     let start = Instant::now();

@@ -12,9 +12,9 @@
 //! Run with `cargo bench -p sleepwatch-bench --bench pipeline_throughput`.
 //! `PIPELINE_BENCH_ITERS` overrides the sample count for noisy machines.
 
+use sleepwatch_bench::median;
 use sleepwatch_core::{
-    analyze_block, analyze_block_with_scratch, analyze_world_with_mode, AnalysisConfig,
-    BlockScratch, WorldRunMode,
+    analyze_block, analyze_block_with_scratch, AnalysisConfig, BlockScratch, WorldRun, WorldRunMode,
 };
 use sleepwatch_probing::TrinocularConfig;
 use sleepwatch_simnet::{World, WorldConfig};
@@ -60,14 +60,11 @@ fn allocations() -> usize {
     ALLOCATIONS.with(|c| c.get())
 }
 
-fn median(xs: &mut [f64]) -> f64 {
-    xs.sort_by(|a, b| a.partial_cmp(b).expect("timings are finite"));
-    xs[xs.len() / 2]
-}
-
 fn run_once(world: &World, cfg: &AnalysisConfig, mode: WorldRunMode) -> f64 {
     let start = Instant::now();
-    let analysis = analyze_world_with_mode(world, cfg, 2, None, mode);
+    let analysis = WorldRun { threads: 2, mode, ..WorldRun::default() }
+        .analyze(world, cfg)
+        .expect("runs without a journal cannot fail");
     let secs = start.elapsed().as_secs_f64();
     assert_eq!(analysis.len(), world.blocks.len());
     secs

@@ -27,6 +27,7 @@ use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use sleepwatch_bench::{best, env_or};
 use sleepwatch_core::{
     analyze_world, dataset_rows, AnalysisConfig, QueryServer, ServeConfig, ServeState,
 };
@@ -36,14 +37,6 @@ use sleepwatch_testkit::httpclient::HttpConnection;
 /// Requests per pipelined batch: deep enough to amortize the socket
 /// round-trip, shallow enough to stay inside one send buffer.
 const PIPELINE_DEPTH: usize = 64;
-
-fn env_or(name: &str, default: f64) -> f64 {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
-
-fn best(xs: &[f64]) -> f64 {
-    xs.iter().copied().fold(f64::INFINITY, f64::min)
-}
 
 fn spawn(state: &Arc<ServeState>, threads: usize) -> QueryServer {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");

@@ -33,6 +33,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Instant;
 
+use sleepwatch_bench::{best, env_or};
 use sleepwatch_core::{
     feed_identity, ingest_events, ingest_source, world_feed, AnalysisConfig, IngestConfig,
     TransportOutcome,
@@ -46,14 +47,6 @@ use sleepwatch_testkit::chaos::{ChaosPlan, ChaosProxy, Harm};
 
 /// Minimum loopback-TCP throughput as a fraction of the in-process rate.
 const MIN_TCP_FRACTION: f64 = 0.5;
-
-fn env_or(name: &str, default: f64) -> f64 {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
-
-fn best(xs: &[f64]) -> f64 {
-    xs.iter().copied().fold(f64::INFINITY, f64::min)
-}
 
 /// Serves `events` from a background thread (optionally behind a chaos
 /// proxy) and ingests them over TCP; returns the outcome and wall time.

@@ -23,7 +23,8 @@
 //!
 //! Run with `cargo bench -p sleepwatch-bench --bench world_scale`.
 
-use sleepwatch_core::{analyze_world_stats, AnalysisConfig};
+use sleepwatch_bench::{best, env_or};
+use sleepwatch_core::{AnalysisConfig, WorldRun};
 use sleepwatch_obs::Snapshot;
 use sleepwatch_simnet::{WorldConfig, WorldSource};
 use sleepwatch_spectral::{plan_for, BatchRealScratch, Complex, FftPlan};
@@ -45,10 +46,6 @@ const MIN_BLOCKS_PER_SEC_PER_THREAD_35D: f64 = 350.0;
 /// The whole point of lazy sharding: peak memory must not scale with the
 /// world.
 const MAX_ARENA_BYTES: u64 = 64 * 1024 * 1024;
-
-fn best(xs: &[f64]) -> f64 {
-    xs.iter().copied().fold(f64::INFINITY, f64::min)
-}
 
 fn series_group(n: usize, lanes: usize) -> Vec<Vec<f64>> {
     (0..lanes)
@@ -124,10 +121,6 @@ fn bench_batch_fft(lengths: &[usize]) -> Vec<FftRow> {
         .collect()
 }
 
-fn env_or(name: &str, default: f64) -> f64 {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
-
 fn main() {
     let blocks = env_or("WORLD_BENCH_BLOCKS", 50_000.0) as usize;
     let days = env_or("WORLD_BENCH_DAYS", 35.0);
@@ -165,7 +158,9 @@ fn main() {
     let cfg = AnalysisConfig::over_days(source.cfg().start_time, days);
     let before = Snapshot::capture(obs);
     let start = Instant::now();
-    let stats = analyze_world_stats(&source, &cfg, threads, None);
+    let stats = WorldRun { threads, ..WorldRun::default() }
+        .stats(&source, &cfg)
+        .expect("runs without a journal cannot fail");
     let wall = start.elapsed().as_secs_f64();
     let d = Snapshot::capture(obs).delta(&before);
 

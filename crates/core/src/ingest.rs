@@ -451,11 +451,14 @@ fn run_engine(
 
     let mut rounds_routed = 0u64;
     let pool = BatchPool::new();
+    let planted = hooks::planted();
     crossbeam::thread::scope(|s| {
         for q in &queues {
             let sink = &sink;
             let pool = &pool;
+            let planted = planted.clone();
             s.spawn(move |_| {
+                hooks::adopt(planted);
                 let mut state = ShardState::new(source, cfg, live_cfg);
                 let mut done: Vec<Finished> = Vec::new();
                 while let Some(batch) = q.pop() {
@@ -625,7 +628,7 @@ pub fn ingest_world(
 
 /// [`ingest_world`] with a crash-safe checkpoint journal at `path` —
 /// the same v2 journal format and resume semantics as
-/// [`crate::analyze_world_resumable`]: finished blocks found in a valid
+/// a journaled [`crate::WorldRun`]: finished blocks found in a valid
 /// journal prefix are replayed instead of re-streamed; unfinished blocks
 /// are streamed from the start. A resumed ingest heals to the same
 /// verdict set as an uninterrupted one.

@@ -3,9 +3,10 @@
 //!
 //! The paper's `A12w` collection ran for 35 days and visibly survived
 //! prober restarts; a reproduction at that scale needs the same property.
-//! [`crate::analyze_world_resumable`] appends every finished block to a
-//! journal file and, on restart, replays it to skip work already done —
-//! the resumed run's output is byte-identical to an uninterrupted one.
+//! A world run with a [`crate::WorldRun::journal`] appends every finished
+//! block to a journal file and, on restart, replays it to skip work
+//! already done — the resumed run's output is byte-identical to an
+//! uninterrupted one.
 //!
 //! # Formats
 //!

@@ -79,10 +79,10 @@ pub use serve::{
 };
 pub use streaming::{DetectorSnapshot, OnlineConfig, OnlineDetector};
 pub use timeofday::{activity_pattern, peak_local_hour, peak_utc_hour, ActivityPattern};
+/// The older name for a lazy-source [`analyze_world`], kept because the
+/// `perfbench` benchmark calls it.
+pub use worldrun::analyze_world as analyze_world_source;
 pub use worldrun::{
-    analyze_world, analyze_world_resumable, analyze_world_resumable_with_mode,
-    analyze_world_resumable_with_report, analyze_world_source, analyze_world_source_resumable,
-    analyze_world_stats, analyze_world_stats_resumable, analyze_world_with_mode,
-    analyze_world_with_report, run_identity, BlockOutcome, Quarantine, WorldAnalysis,
-    WorldBlockReport, WorldRunMode, WorldRunStats,
+    analyze_world, run_identity, BlockOutcome, Quarantine, WorldAnalysis, WorldBlockReport,
+    WorldBlocks, WorldRun, WorldRunMode, WorldRunStats,
 };

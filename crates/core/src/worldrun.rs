@@ -15,8 +15,8 @@
 //!
 //! Resilience: workers wrap each phase of each block in `catch_unwind`, so
 //! one poisoned block is quarantined (recorded in
-//! [`WorldAnalysis::quarantined`]) instead of aborting the run, and the
-//! `*_resumable` entry points journal every completed block to an
+//! [`WorldAnalysis::quarantined`]) instead of aborting the run, and a run
+//! with a [`WorldRun::journal`] appends every completed block to an
 //! append-only checkpoint file ([`crate::journal`]) so a killed process
 //! resumes where it stopped with byte-identical output — without
 //! regenerating already-journaled blocks.
@@ -31,7 +31,7 @@ use sleepwatch_geoecon::country::{by_code, COUNTRIES};
 use sleepwatch_geoecon::geolocate::{GeoDatabase, Location};
 use sleepwatch_geoecon::region::Region;
 use sleepwatch_linktype::{classify_block, LinkFeature};
-use sleepwatch_obs::{RunReport, Snapshot, Stage, StageTimer};
+use sleepwatch_obs::{Stage, StageTimer};
 use sleepwatch_simnet::{ptr_names, BlockSpec, World, WorldSource};
 use sleepwatch_spectral::{plan_for, BatchRealScratch, Complex, MAX_BATCH_LANES};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -121,7 +121,7 @@ pub struct WorldAnalysis {
 /// Streaming aggregate of a world run — everything the paper-scale survey
 /// reports, in O(1) memory per run instead of O(blocks).
 ///
-/// Produced by [`analyze_world_stats`]; [`WorldAnalysis::stats`] computes
+/// Produced by [`WorldRun::stats`]; [`WorldAnalysis::stats`] computes
 /// the identical value from collected reports (the equivalence is a unit
 /// test), so summary-level results never depend on which sink ran.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -178,15 +178,6 @@ impl WorldRunStats {
         self.total_probes += r.summary.total_probes;
     }
 
-    fn absorb_outcome(&mut self, outcome: BlockOutcome) {
-        match outcome {
-            BlockOutcome::Analyzed(r) => self.absorb_report(&r),
-            BlockOutcome::Quarantined { block_id, diagnostic } => {
-                self.quarantined.push(Quarantine { block_id, diagnostic });
-            }
-        }
-    }
-
     /// Count and fraction of strictly diurnal blocks.
     pub fn strict_fraction(&self) -> (usize, f64) {
         (self.strict, self.strict as f64 / self.blocks.max(1) as f64)
@@ -211,58 +202,103 @@ impl WorldRunStats {
 
 /// Test-only failure injection. Hidden from docs and never armed outside
 /// tests: the fast path is a single relaxed atomic load.
+///
+/// Planted panics belong to the planting thread and the workers of the
+/// runs it starts, so tests running other worlds concurrently in the same
+/// process never trip them.
 #[doc(hidden)]
 pub mod hooks {
+    use std::cell::RefCell;
     use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Mutex;
 
     static ARMED: AtomicBool = AtomicBool::new(false);
-    static PLANTED: Mutex<Vec<u64>> = Mutex::new(Vec::new());
 
-    /// Makes the analysis of block `block_id` panic (until cleared).
+    thread_local! {
+        static PLANTED: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
+    }
+
+    /// Makes the analysis of block `block_id` panic (until cleared) in
+    /// runs started from the calling thread.
     pub fn plant_block_panic(block_id: u64) {
-        PLANTED.lock().unwrap().push(block_id);
+        PLANTED.with(|p| p.borrow_mut().push(block_id));
         ARMED.store(true, Ordering::SeqCst);
     }
 
-    /// Removes every planted panic.
+    /// Removes every panic the calling thread planted.
     pub fn clear_block_panics() {
-        PLANTED.lock().unwrap().clear();
-        ARMED.store(false, Ordering::SeqCst);
+        PLANTED.with(|p| p.borrow_mut().clear());
+    }
+
+    /// The calling thread's planted ids, to hand to a run's workers.
+    pub(crate) fn planted() -> Vec<u64> {
+        if !ARMED.load(Ordering::Relaxed) {
+            return Vec::new();
+        }
+        PLANTED.with(|p| p.borrow().clone())
+    }
+
+    /// Installs a run's planted ids on one of its worker threads.
+    pub(crate) fn adopt(ids: Vec<u64>) {
+        if !ids.is_empty() {
+            PLANTED.with(|p| *p.borrow_mut() = ids);
+        }
     }
 
     pub(crate) fn fire(block_id: u64) {
         if !ARMED.load(Ordering::Relaxed) {
             return;
         }
-        // Decide before panicking: the guard must be dropped first, or the
-        // poisoned mutex would cascade panics into innocent workers.
-        let planted = PLANTED.lock().unwrap().contains(&block_id);
-        if planted {
+        if PLANTED.with(|p| p.borrow().contains(&block_id)) {
             panic!("planted panic for block {block_id}");
         }
     }
 }
 
 /// Where a run's blocks come from: a materialized world, or a lazy
-/// seed-keyed source that synthesizes each claimed chunk on demand.
-enum Feed<'a> {
+/// seed-keyed source that synthesizes each claimed chunk on demand. Both
+/// convert with `.into()`, so every run accepts either.
+#[derive(Clone, Copy)]
+pub enum WorldBlocks<'a> {
+    /// Every block already generated.
     World(&'a World),
+    /// Blocks generated chunk-by-chunk as workers claim them: peak memory
+    /// is O(threads × chunk) specs instead of the whole world, and output
+    /// is byte-identical to materializing the source first.
     Source(&'a WorldSource),
 }
 
-impl<'a> Feed<'a> {
+impl<'a> From<&'a World> for WorldBlocks<'a> {
+    fn from(world: &'a World) -> Self {
+        WorldBlocks::World(world)
+    }
+}
+
+impl<'a> From<&'a WorldSource> for WorldBlocks<'a> {
+    fn from(source: &'a WorldSource) -> Self {
+        WorldBlocks::Source(source)
+    }
+}
+
+impl<'a> WorldBlocks<'a> {
     fn len(&self) -> usize {
         match self {
-            Feed::World(w) => w.blocks.len(),
-            Feed::Source(s) => s.len(),
+            WorldBlocks::World(w) => w.blocks.len(),
+            WorldBlocks::Source(s) => s.len(),
+        }
+    }
+
+    /// The world seed — part of the run identity a journal is keyed to.
+    pub fn seed(&self) -> u64 {
+        match self {
+            WorldBlocks::World(w) => w.cfg.seed,
+            WorldBlocks::Source(s) => s.cfg().seed,
         }
     }
 
     fn geodb(&self) -> &'a GeoDatabase {
         match self {
-            Feed::World(w) => &w.geodb,
-            Feed::Source(s) => s.geodb(),
+            WorldBlocks::World(w) => &w.geodb,
+            WorldBlocks::Source(s) => s.geodb(),
         }
     }
 }
@@ -287,15 +323,70 @@ impl<'a> ChunkView<'a> {
 
 /// Where outcomes go: per-block collection (order restored by slot index)
 /// or a streaming fold into [`WorldRunStats`].
-enum Sink {
-    Collect(Vec<Option<BlockOutcome>>),
-    Stats(WorldRunStats),
+trait Sink: Send {
+    /// What the finished run hands back.
+    type Output;
+    /// An empty sink for a run over `n` blocks.
+    fn for_blocks(n: usize) -> Self;
+    /// Takes block `idx`'s outcome — computed or replayed from a journal.
+    fn put(&mut self, idx: usize, outcome: BlockOutcome);
+    /// Turns the filled sink into the run's result.
+    fn finish(self) -> Self::Output;
 }
 
-/// What a finished run hands back, matching the sink it ran with.
-enum RunOutput {
-    Analysis(WorldAnalysis),
-    Stats(WorldRunStats),
+/// One slot per block, filled in whatever order workers finish.
+struct Collect(Vec<Option<BlockOutcome>>);
+
+impl Sink for Collect {
+    type Output = WorldAnalysis;
+
+    fn for_blocks(n: usize) -> Self {
+        let mut slots = Vec::with_capacity(n);
+        slots.resize_with(n, || None);
+        Collect(slots)
+    }
+
+    fn put(&mut self, idx: usize, outcome: BlockOutcome) {
+        self.0[idx] = Some(outcome);
+    }
+
+    fn finish(self) -> WorldAnalysis {
+        let mut reports = Vec::with_capacity(self.0.len());
+        let mut quarantined = Vec::new();
+        for s in self.0.into_iter().map(|s| s.expect("every block analyzed")) {
+            match s {
+                BlockOutcome::Analyzed(r) => reports.push(r),
+                BlockOutcome::Quarantined { block_id, diagnostic } => {
+                    quarantined.push(Quarantine { block_id, diagnostic });
+                }
+            }
+        }
+        WorldAnalysis { reports, quarantined }
+    }
+}
+
+impl Sink for WorldRunStats {
+    type Output = WorldRunStats;
+
+    fn for_blocks(_n: usize) -> Self {
+        WorldRunStats::default()
+    }
+
+    fn put(&mut self, _idx: usize, outcome: BlockOutcome) {
+        match outcome {
+            BlockOutcome::Analyzed(r) => self.absorb_report(&r),
+            BlockOutcome::Quarantined { block_id, diagnostic } => {
+                self.quarantined.push(Quarantine { block_id, diagnostic });
+            }
+        }
+    }
+
+    fn finish(mut self) -> WorldRunStats {
+        // Workers fold in claim order; counters commute but the
+        // quarantine list must come out deterministic.
+        self.quarantined.sort_by_key(|q| q.block_id);
+        self
+    }
 }
 
 /// Geo/reverse-DNS/registry join for one completed summary — the
@@ -360,9 +451,9 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// Flushes a worker's local batch: journals completed reports (disabling
 /// the journal on the first write error — the run itself must not die for
 /// a full disk), then publishes outcomes into the shared sink.
-fn flush_batch(
+fn flush_batch<S: Sink>(
     local: &mut Vec<(usize, BlockOutcome)>,
-    sink_mutex: &parking_lot::Mutex<&mut Sink>,
+    sink_mutex: &parking_lot::Mutex<&mut S>,
     journal: Option<&parking_lot::Mutex<Option<JournalWriter>>>,
 ) {
     if let Some(j) = journal {
@@ -384,17 +475,8 @@ fn flush_batch(
         }
     }
     let mut guard = sink_mutex.lock();
-    match &mut **guard {
-        Sink::Collect(slots) => {
-            for (idx, outcome) in local.drain(..) {
-                slots[idx] = Some(outcome);
-            }
-        }
-        Sink::Stats(stats) => {
-            for (_, outcome) in local.drain(..) {
-                stats.absorb_outcome(outcome);
-            }
-        }
+    for (idx, outcome) in local.drain(..) {
+        guard.put(idx, outcome);
     }
 }
 
@@ -442,23 +524,21 @@ fn lane_refs<'a>(scratches: &'a mut [BlockScratch], slots: &[usize]) -> Vec<&'a 
     out
 }
 
-/// Shared driver behind every `analyze_world*` entry point. `skip` marks
-/// journal-replayed blocks (workers never touch them — for lazy sources a
-/// fully replayed chunk is not even generated); `base` is how many were
-/// replayed. Output depends only on the blocks and config — not on feed
-/// kind, sink kind, thread count, schedule, journal presence, or how much
-/// was replayed.
-#[allow(clippy::too_many_arguments)]
-fn run_world(
-    feed: Feed<'_>,
+/// Shared driver behind every world run. `skip` marks journal-replayed
+/// blocks (workers never touch them — for lazy sources a fully replayed
+/// chunk is not even generated; the sink already holds them); `base` is
+/// how many were replayed. Output depends only on the blocks and config —
+/// not on feed kind, sink kind, thread count, schedule, journal presence,
+/// or how much was replayed.
+fn run_world<S: Sink>(
+    run: &WorldRun<'_>,
+    feed: WorldBlocks<'_>,
     cfg: &AnalysisConfig,
-    threads: usize,
-    progress: Option<&(dyn Fn(usize, usize) + Sync)>,
     journal: Option<&parking_lot::Mutex<Option<JournalWriter>>>,
     skip: Vec<bool>,
-    sink: Sink,
-    mode: WorldRunMode,
-) -> RunOutput {
+    mut sink: S,
+) -> S::Output {
+    let WorldRun { threads, mode, progress, .. } = *run;
     let obs = sleepwatch_obs::global();
     let _total_timer = StageTimer::start(obs.pipeline.stage(Stage::Total));
     let n = feed.len();
@@ -488,7 +568,7 @@ fn run_world(
     let next = AtomicUsize::new(0);
     let done = AtomicUsize::new(0);
     let started = std::time::Instant::now();
-    let mut sink = sink;
+    let planted = hooks::planted();
     {
         let sink_mutex = parking_lot::Mutex::new(&mut sink);
         crossbeam::thread::scope(|s| {
@@ -497,7 +577,9 @@ fn run_world(
                 // not the owned atomics/mutex themselves.
                 let (next, done, sink_mutex, skip, feed) =
                     (&next, &done, &sink_mutex, &skip, &feed);
+                let planted = planted.clone();
                 s.spawn(move |_| {
+                    hooks::adopt(planted);
                     // Worker arenas: one scratch per batch lane plus the
                     // lane-interleaved FFT workspace and (for lazy feeds)
                     // the chunk's spec buffer. All grow-only — after
@@ -524,8 +606,8 @@ fn run_world(
                             continue;
                         }
                         let view = match feed {
-                            Feed::World(w) => ChunkView::World(&w.blocks, &work),
-                            Feed::Source(src) => {
+                            WorldBlocks::World(w) => ChunkView::World(&w.blocks, &work),
+                            WorldBlocks::Source(src) => {
                                 src.generate_into(work.iter().map(|&i| i as u64), &mut gen_buf);
                                 obs.world.source_chunks.incr();
                                 ChunkView::Generated(&gen_buf)
@@ -603,27 +685,7 @@ fn run_world(
     }
     let out = {
         let _t = StageTimer::start(obs.pipeline.stage(Stage::Join));
-        match sink {
-            Sink::Collect(slots) => {
-                let mut reports = Vec::with_capacity(n);
-                let mut quarantined = Vec::new();
-                for s in slots.into_iter().map(|s| s.expect("every block analyzed")) {
-                    match s {
-                        BlockOutcome::Analyzed(r) => reports.push(r),
-                        BlockOutcome::Quarantined { block_id, diagnostic } => {
-                            quarantined.push(Quarantine { block_id, diagnostic });
-                        }
-                    }
-                }
-                RunOutput::Analysis(WorldAnalysis { reports, quarantined })
-            }
-            Sink::Stats(mut stats) => {
-                // Workers fold in claim order; counters commute but the
-                // quarantine list must come out deterministic.
-                stats.quarantined.sort_by_key(|q| q.block_id);
-                RunOutput::Stats(stats)
-            }
-        }
+        sink.finish()
     };
     if let Some(j) = journal {
         if let Some(w) = j.lock().as_mut() {
@@ -800,30 +862,93 @@ fn run_chunk_batched(
     }
 }
 
-/// Empty per-block collection slots for a fresh run.
-fn empty_slots(n: usize) -> Vec<Option<BlockOutcome>> {
-    let mut v = Vec::with_capacity(n);
-    v.resize_with(n, || None);
-    v
+/// How to run a world: every choice besides the blocks and the analysis
+/// config. `WorldRun::default()` is a sequential `SummaryOnly` run with
+/// no journal and no progress callback; set fields with struct-update
+/// syntax (`WorldRun { threads: 4, ..WorldRun::default() }`).
+///
+/// None of these fields changes the result: every combination produces
+/// the same bytes as a plain sequential run.
+#[derive(Clone, Copy, Default)]
+pub struct WorldRun<'a> {
+    /// Worker threads (0 and 1 both mean sequential).
+    pub threads: usize,
+    /// How much per-block detail workers materialize.
+    pub mode: WorldRunMode,
+    /// Crash-safe checkpoint journal: every completed block is appended
+    /// (fsync'd every [`journal::SYNC_EVERY`] records), and if the file
+    /// already holds a valid prefix for this exact run — same world seed,
+    /// block count, rounds and start time — those blocks are replayed
+    /// instead of recomputed (for lazy sources, a fully replayed chunk is
+    /// never generated). A truncated or bit-flipped tail costs only the
+    /// damaged suffix.
+    pub journal: Option<&'a Path>,
+    /// Progress callback, with the contract documented on
+    /// [`analyze_world`]. A resumed run first reports its replayed count.
+    pub progress: Option<&'a (dyn Fn(usize, usize) + Sync)>,
 }
 
-fn expect_analysis(out: RunOutput) -> WorldAnalysis {
-    match out {
-        RunOutput::Analysis(a) => a,
-        RunOutput::Stats(_) => unreachable!("collect sink returns an analysis"),
+impl WorldRun<'_> {
+    /// Runs the world and collects every block's joined report.
+    ///
+    /// Errors only when [`journal`](Self::journal) is set and the file
+    /// cannot be opened or belongs to a different run; corruption never
+    /// errors.
+    pub fn analyze<'b>(
+        &self,
+        blocks: impl Into<WorldBlocks<'b>>,
+        cfg: &AnalysisConfig,
+    ) -> Result<WorldAnalysis, JournalError> {
+        self.run::<Collect>(blocks.into(), cfg)
+    }
+
+    /// Runs the world and folds every block into a streaming
+    /// [`WorldRunStats`] — O(1) memory in the number of blocks, equal to
+    /// [`WorldAnalysis::stats`] of the collected run. Over a
+    /// [`WorldBlocks::Source`] this is the paper-scale survey.
+    ///
+    /// Errors exactly as [`analyze`](Self::analyze) does.
+    pub fn stats<'b>(
+        &self,
+        blocks: impl Into<WorldBlocks<'b>>,
+        cfg: &AnalysisConfig,
+    ) -> Result<WorldRunStats, JournalError> {
+        self.run::<WorldRunStats>(blocks.into(), cfg)
+    }
+
+    /// Opens the journal (if any), puts its replayed blocks into the sink,
+    /// and runs the rest.
+    fn run<S: Sink>(
+        &self,
+        blocks: WorldBlocks<'_>,
+        cfg: &AnalysisConfig,
+    ) -> Result<S::Output, JournalError> {
+        let Some(path) = self.journal else {
+            return Ok(self.run_fresh::<S>(blocks, cfg));
+        };
+        let n = blocks.len();
+        let (writer, skip, replayed) = open_journal(path, blocks.seed(), n, cfg)?;
+        let mut sink = S::for_blocks(n);
+        for rep in replayed {
+            sink.put(rep.summary.block_id as usize, BlockOutcome::Analyzed(rep));
+        }
+        let journal = parking_lot::Mutex::new(Some(writer));
+        Ok(run_world(self, blocks, cfg, Some(&journal), skip, sink))
+    }
+
+    /// A run without a journal, which cannot fail.
+    fn run_fresh<S: Sink>(&self, blocks: WorldBlocks<'_>, cfg: &AnalysisConfig) -> S::Output {
+        let n = blocks.len();
+        run_world(self, blocks, cfg, None, vec![false; n], S::for_blocks(n))
     }
 }
 
-fn expect_stats(out: RunOutput) -> WorldRunStats {
-    match out {
-        RunOutput::Stats(s) => s,
-        RunOutput::Analysis(_) => unreachable!("stats sink returns stats"),
-    }
-}
-
-/// Analyzes every block of `world` with `cfg`, using `threads` worker
-/// threads (1 = sequential). An optional `progress` callback receives the
-/// number of completed blocks at coarse intervals.
+/// Analyzes every block of a [`World`] or a lazy [`WorldSource`] with
+/// `cfg`, using `threads` worker threads (1 = sequential), and collects
+/// the joined reports. An optional `progress` callback receives the
+/// number of completed blocks at coarse intervals. Runs with a journal,
+/// a streaming [`WorldRunStats`] sink or an explicit [`WorldRunMode`] go
+/// through [`WorldRun`].
 ///
 /// Progress contract: workers report coarse intermediate progress
 /// (`done < n` at multiples of 500), and after every worker has joined the
@@ -832,84 +957,13 @@ fn expect_stats(out: RunOutput) -> WorldRunStats {
 /// scheduling. (Workers reporting the final count themselves would race: a
 /// preempted worker could deliver a stale intermediate count *after*
 /// another worker's `(n, n)`.)
-pub fn analyze_world(
-    world: &World,
+pub fn analyze_world<'a>(
+    blocks: impl Into<WorldBlocks<'a>>,
     cfg: &AnalysisConfig,
     threads: usize,
     progress: Option<&(dyn Fn(usize, usize) + Sync)>,
 ) -> WorldAnalysis {
-    analyze_world_with_mode(world, cfg, threads, progress, WorldRunMode::default())
-}
-
-/// [`analyze_world`] with an explicit [`WorldRunMode`]. Both modes produce
-/// byte-identical [`WorldBlockReport`]s (asserted by the `scratch_equiv`
-/// differential suite); [`WorldRunMode::SummaryOnly`] — the default — does
-/// it without per-block heap allocation, batching same-length FFTs.
-pub fn analyze_world_with_mode(
-    world: &World,
-    cfg: &AnalysisConfig,
-    threads: usize,
-    progress: Option<&(dyn Fn(usize, usize) + Sync)>,
-    mode: WorldRunMode,
-) -> WorldAnalysis {
-    let n = world.blocks.len();
-    expect_analysis(run_world(
-        Feed::World(world),
-        cfg,
-        threads,
-        progress,
-        None,
-        vec![false; n],
-        Sink::Collect(empty_slots(n)),
-        mode,
-    ))
-}
-
-/// [`analyze_world`] over a lazy [`WorldSource`]: blocks are synthesized
-/// chunk-by-chunk as workers claim them, so peak memory is
-/// O(threads × chunk) specs instead of the whole world. Byte-identical
-/// to materializing the source and calling [`analyze_world`] (the source
-/// is seed-keyed per block), at any thread count.
-pub fn analyze_world_source(
-    source: &WorldSource,
-    cfg: &AnalysisConfig,
-    threads: usize,
-    progress: Option<&(dyn Fn(usize, usize) + Sync)>,
-) -> WorldAnalysis {
-    let n = source.len();
-    expect_analysis(run_world(
-        Feed::Source(source),
-        cfg,
-        threads,
-        progress,
-        None,
-        vec![false; n],
-        Sink::Collect(empty_slots(n)),
-        WorldRunMode::SummaryOnly,
-    ))
-}
-
-/// Paper-scale entry point: lazy generation ([`WorldSource`]) and a
-/// streaming [`WorldRunStats`] sink — O(1) memory in the number of blocks.
-/// The aggregate equals [`WorldAnalysis::stats`] of the collected run
-/// exactly.
-pub fn analyze_world_stats(
-    source: &WorldSource,
-    cfg: &AnalysisConfig,
-    threads: usize,
-    progress: Option<&(dyn Fn(usize, usize) + Sync)>,
-) -> WorldRunStats {
-    let n = source.len();
-    expect_stats(run_world(
-        Feed::Source(source),
-        cfg,
-        threads,
-        progress,
-        None,
-        vec![false; n],
-        Sink::Stats(WorldRunStats::default()),
-        WorldRunMode::SummaryOnly,
-    ))
+    WorldRun { threads, progress, ..WorldRun::default() }.run_fresh::<Collect>(blocks.into(), cfg)
 }
 
 /// The run identity a resumable world run stamps into its journal (and
@@ -955,167 +1009,6 @@ pub(crate) fn open_journal(
     Ok((writer, skip, kept))
 }
 
-/// [`analyze_world`] with a crash-safe checkpoint journal at
-/// `journal_path`: every completed block is appended to the journal
-/// (fsync'd every [`journal::SYNC_EVERY`] records), and if the file
-/// already holds a valid prefix for this exact run — same world seed,
-/// block count, rounds and start time — those blocks are replayed instead
-/// of recomputed. A truncated or bit-flipped tail costs only the damaged
-/// suffix. The analysis is byte-identical to an uninterrupted
-/// [`analyze_world`] at any thread count.
-///
-/// Errors only on IO failure or when the journal belongs to a different
-/// run; corruption never errors.
-pub fn analyze_world_resumable(
-    world: &World,
-    cfg: &AnalysisConfig,
-    threads: usize,
-    journal_path: &Path,
-    progress: Option<&(dyn Fn(usize, usize) + Sync)>,
-) -> Result<WorldAnalysis, JournalError> {
-    analyze_world_resumable_with_mode(
-        world,
-        cfg,
-        threads,
-        journal_path,
-        progress,
-        WorldRunMode::default(),
-    )
-}
-
-/// [`analyze_world_resumable`] with an explicit [`WorldRunMode`]; the
-/// journal format and resume semantics are mode-independent.
-pub fn analyze_world_resumable_with_mode(
-    world: &World,
-    cfg: &AnalysisConfig,
-    threads: usize,
-    journal_path: &Path,
-    progress: Option<&(dyn Fn(usize, usize) + Sync)>,
-    mode: WorldRunMode,
-) -> Result<WorldAnalysis, JournalError> {
-    let n = world.blocks.len();
-    let (writer, skip, replayed) = open_journal(journal_path, world.cfg.seed, n, cfg)?;
-    let mut slots = empty_slots(n);
-    for rep in replayed {
-        let idx = rep.summary.block_id as usize;
-        slots[idx] = Some(BlockOutcome::Analyzed(rep));
-    }
-    let jmutex = parking_lot::Mutex::new(Some(writer));
-    Ok(expect_analysis(run_world(
-        Feed::World(world),
-        cfg,
-        threads,
-        progress,
-        Some(&jmutex),
-        skip,
-        Sink::Collect(slots),
-        mode,
-    )))
-}
-
-/// [`analyze_world_source`] with the checkpoint journal of
-/// [`analyze_world_resumable`]. Chunks whose blocks were all replayed are
-/// never regenerated — resuming a mostly finished paper-scale run costs
-/// only the missing tail.
-pub fn analyze_world_source_resumable(
-    source: &WorldSource,
-    cfg: &AnalysisConfig,
-    threads: usize,
-    journal_path: &Path,
-    progress: Option<&(dyn Fn(usize, usize) + Sync)>,
-) -> Result<WorldAnalysis, JournalError> {
-    let n = source.len();
-    let (writer, skip, replayed) = open_journal(journal_path, source.cfg().seed, n, cfg)?;
-    let mut slots = empty_slots(n);
-    for rep in replayed {
-        let idx = rep.summary.block_id as usize;
-        slots[idx] = Some(BlockOutcome::Analyzed(rep));
-    }
-    let jmutex = parking_lot::Mutex::new(Some(writer));
-    Ok(expect_analysis(run_world(
-        Feed::Source(source),
-        cfg,
-        threads,
-        progress,
-        Some(&jmutex),
-        skip,
-        Sink::Collect(slots),
-        WorldRunMode::SummaryOnly,
-    )))
-}
-
-/// [`analyze_world_stats`] with the checkpoint journal: replayed blocks
-/// fold straight into the aggregate, unreplayed chunks are generated and
-/// analyzed, and the result equals an uninterrupted stats run exactly.
-pub fn analyze_world_stats_resumable(
-    source: &WorldSource,
-    cfg: &AnalysisConfig,
-    threads: usize,
-    journal_path: &Path,
-    progress: Option<&(dyn Fn(usize, usize) + Sync)>,
-) -> Result<WorldRunStats, JournalError> {
-    let n = source.len();
-    let (writer, skip, replayed) = open_journal(journal_path, source.cfg().seed, n, cfg)?;
-    let mut stats = WorldRunStats::default();
-    for rep in &replayed {
-        stats.absorb_report(rep);
-    }
-    let jmutex = parking_lot::Mutex::new(Some(writer));
-    Ok(expect_stats(run_world(
-        Feed::Source(source),
-        cfg,
-        threads,
-        progress,
-        Some(&jmutex),
-        skip,
-        Sink::Stats(stats),
-        WorldRunMode::SummaryOnly,
-    )))
-}
-
-/// [`analyze_world`], additionally returning a [`RunReport`] isolating the
-/// run's metric activity (snapshot delta around the call) with wall-clock
-/// and thread context. With metrics disabled the report is present but
-/// all-zero, and the analysis itself is byte-identical.
-pub fn analyze_world_with_report(
-    world: &World,
-    cfg: &AnalysisConfig,
-    threads: usize,
-    progress: Option<&(dyn Fn(usize, usize) + Sync)>,
-    label: &str,
-) -> (WorldAnalysis, RunReport) {
-    let obs = sleepwatch_obs::global();
-    let before = Snapshot::capture(obs);
-    let start = std::time::Instant::now();
-    let analysis = analyze_world(world, cfg, threads, progress);
-    let wall_seconds = start.elapsed().as_secs_f64();
-    let snapshot = Snapshot::capture(obs).delta(&before);
-    let report =
-        RunReport { label: label.to_string(), threads: threads.max(1), wall_seconds, snapshot };
-    (analysis, report)
-}
-
-/// [`analyze_world_resumable`] with the same [`RunReport`] wrapper as
-/// [`analyze_world_with_report`].
-pub fn analyze_world_resumable_with_report(
-    world: &World,
-    cfg: &AnalysisConfig,
-    threads: usize,
-    journal_path: &Path,
-    progress: Option<&(dyn Fn(usize, usize) + Sync)>,
-    label: &str,
-) -> Result<(WorldAnalysis, RunReport), JournalError> {
-    let obs = sleepwatch_obs::global();
-    let before = Snapshot::capture(obs);
-    let start = std::time::Instant::now();
-    let analysis = analyze_world_resumable(world, cfg, threads, journal_path, progress)?;
-    let wall_seconds = start.elapsed().as_secs_f64();
-    let snapshot = Snapshot::capture(obs).delta(&before);
-    let report =
-        RunReport { label: label.to_string(), threads: threads.max(1), wall_seconds, snapshot };
-    Ok((analysis, report))
-}
-
 impl WorldAnalysis {
     /// Number of blocks analyzed (quarantined blocks excluded).
     pub fn len(&self) -> usize {
@@ -1128,7 +1021,7 @@ impl WorldAnalysis {
     }
 
     /// The streaming aggregate of this analysis — identical to what
-    /// [`analyze_world_stats`] would have produced for the same run.
+    /// [`WorldRun::stats`] would have produced for the same run.
     pub fn stats(&self) -> WorldRunStats {
         let mut stats = WorldRunStats::default();
         for r in &self.reports {
@@ -1141,38 +1034,23 @@ impl WorldAnalysis {
 
     /// Count and fraction of strictly diurnal blocks.
     pub fn strict_fraction(&self) -> (usize, f64) {
-        let n = self.reports.iter().filter(|r| r.summary.class.is_strict()).count();
-        (n, n as f64 / self.len().max(1) as f64)
+        self.stats().strict_fraction()
     }
 
     /// Count and fraction of strict-or-relaxed diurnal blocks.
     pub fn diurnal_fraction(&self) -> (usize, f64) {
-        let n = self.reports.iter().filter(|r| r.summary.class.is_diurnal()).count();
-        (n, n as f64 / self.len().max(1) as f64)
+        self.stats().diurnal_fraction()
     }
 
     /// Fraction of blocks passing the stationarity screen.
     pub fn stationary_fraction(&self) -> f64 {
-        let n = self.reports.iter().filter(|r| r.summary.stationary).count();
-        n as f64 / self.len().max(1) as f64
+        self.stats().stationary_fraction()
     }
 
     /// Detection quality against the planted labels:
     /// `(true_pos, false_pos, false_neg, true_neg)` using the strict class.
     pub fn confusion_vs_planted(&self) -> (usize, usize, usize, usize) {
-        let mut tp = 0;
-        let mut fp = 0;
-        let mut fneg = 0;
-        let mut tn = 0;
-        for r in &self.reports {
-            match (r.planted_diurnal, r.summary.class.is_strict()) {
-                (true, true) => tp += 1,
-                (false, true) => fp += 1,
-                (true, false) => fneg += 1,
-                (false, false) => tn += 1,
-            }
-        }
-        (tp, fp, fneg, tn)
+        self.stats().confusion_vs_planted()
     }
 }
 
@@ -1246,7 +1124,7 @@ mod tests {
         let cfg = AnalysisConfig::over_days(world.cfg.start_time, 4.0);
         let from_world = analyze_world(&world, &cfg, 2, None);
         let source = WorldSource::new(cfg_w);
-        let from_source = analyze_world_source(&source, &cfg, 3, None);
+        let from_source = analyze_world(&source, &cfg, 3, None);
         assert_eq!(
             format!("{:?}", from_world.reports),
             format!("{:?}", from_source.reports),
@@ -1260,7 +1138,7 @@ mod tests {
         let cfg_w = WorldConfig { num_blocks: 60, seed: 21, span_days: 4.0, ..Default::default() };
         let source = WorldSource::new(cfg_w.clone());
         let cfg = AnalysisConfig::over_days(source.cfg().start_time, 4.0);
-        let stats = analyze_world_stats(&source, &cfg, 2, None);
+        let stats = WorldRun { threads: 2, ..WorldRun::default() }.stats(&source, &cfg).unwrap();
         let collected = tiny_analysis(); // same world cfg as `source`
         assert_eq!(stats, collected.stats(), "streaming aggregate diverged from collected run");
         assert_eq!(stats.blocks, 60);
@@ -1354,13 +1232,14 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         // First pass: block 7 panics, so the journal holds 19 of 20.
         hooks::plant_block_panic(7);
-        let first = analyze_world_resumable(&world, &cfg, 2, &path, None).unwrap();
+        let run = WorldRun { threads: 2, journal: Some(&path), ..WorldRun::default() };
+        let first = run.analyze(&world, &cfg).unwrap();
         hooks::clear_block_panics();
         assert_eq!(first.quarantined.len(), 1);
         // Resume: 19 replayed, 1 recomputed.
         let calls = parking_lot::Mutex::new(Vec::new());
         let cb = |d: usize, n: usize| calls.lock().push((d, n));
-        let resumed = analyze_world_resumable(&world, &cfg, 2, &path, Some(&cb)).unwrap();
+        let resumed = WorldRun { progress: Some(&cb), ..run }.analyze(&world, &cfg).unwrap();
         assert!(resumed.quarantined.is_empty());
         assert_eq!(resumed.len(), 20);
         let calls = calls.into_inner();
@@ -1380,7 +1259,8 @@ mod tests {
         });
         let cfg = AnalysisConfig::over_days(world.cfg.start_time, 3.0);
         let plain = analyze_world(&world, &cfg, 2, None);
-        let (reported, report) = analyze_world_with_report(&world, &cfg, 2, None, "unit");
+        let (reported, report) =
+            sleepwatch_obs::RunReport::measure("unit", 2, || analyze_world(&world, &cfg, 2, None));
         assert_eq!(plain.len(), reported.len());
         for (a, b) in plain.reports.iter().zip(&reported.reports) {
             assert_eq!(a.summary.class, b.summary.class);
@@ -1410,24 +1290,27 @@ mod tests {
 
     #[test]
     fn resumable_without_prior_journal_matches_plain_run() {
-        let world = World::generate(WorldConfig {
-            num_blocks: 20,
-            seed: 11,
-            span_days: 3.0,
-            ..Default::default()
-        });
+        // Fresh journal ≡ full replay ≡ plain run, for a materialized
+        // world and for the equivalent lazy source.
+        fn check(blocks: WorldBlocks<'_>, cfg: &AnalysisConfig, tag: &str) {
+            let dir = std::env::temp_dir().join(format!("swworldrun-{}", std::process::id()));
+            std::fs::create_dir_all(&dir).unwrap();
+            let path = dir.join(format!("fresh-{tag}.journal"));
+            let _ = std::fs::remove_file(&path);
+            let plain = analyze_world(blocks, cfg, 2, None);
+            let run = WorldRun { threads: 2, journal: Some(&path), ..WorldRun::default() };
+            let resumable = run.analyze(blocks, cfg).unwrap();
+            assert_eq!(format!("{:?}", plain.reports), format!("{:?}", resumable.reports), "{tag}");
+            // And a second pass replays everything from the journal.
+            let replayed = run.analyze(blocks, cfg).unwrap();
+            assert_eq!(format!("{:?}", plain.reports), format!("{:?}", replayed.reports), "{tag}");
+            let _ = std::fs::remove_file(&path);
+        }
+        let cfg_w = WorldConfig { num_blocks: 20, seed: 11, span_days: 3.0, ..Default::default() };
+        let world = World::generate(cfg_w.clone());
         let cfg = AnalysisConfig::over_days(world.cfg.start_time, 3.0);
-        let dir = std::env::temp_dir().join(format!("swworldrun-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("fresh.journal");
-        let _ = std::fs::remove_file(&path);
-        let plain = analyze_world(&world, &cfg, 2, None);
-        let resumable = analyze_world_resumable(&world, &cfg, 2, &path, None).unwrap();
-        assert_eq!(format!("{:?}", plain.reports), format!("{:?}", resumable.reports));
-        // And a second pass replays everything from the journal.
-        let replayed = analyze_world_resumable(&world, &cfg, 2, &path, None).unwrap();
-        assert_eq!(format!("{:?}", plain.reports), format!("{:?}", replayed.reports));
-        let _ = std::fs::remove_file(&path);
+        check((&world).into(), &cfg, "world");
+        check((&WorldSource::new(cfg_w)).into(), &cfg, "source");
     }
 
     #[test]
@@ -1439,11 +1322,12 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("stats.journal");
         let _ = std::fs::remove_file(&path);
-        let fresh = analyze_world_stats(&source, &cfg, 2, None);
-        let journaled = analyze_world_stats_resumable(&source, &cfg, 2, &path, None).unwrap();
+        let fresh = WorldRun { threads: 2, ..WorldRun::default() }.stats(&source, &cfg).unwrap();
+        let run = WorldRun { threads: 2, journal: Some(&path), ..WorldRun::default() };
+        let journaled = run.stats(&source, &cfg).unwrap();
         assert_eq!(fresh, journaled);
         // Second pass: everything replays, nothing is regenerated.
-        let replayed = analyze_world_stats_resumable(&source, &cfg, 2, &path, None).unwrap();
+        let replayed = run.stats(&source, &cfg).unwrap();
         assert_eq!(fresh, replayed);
         let _ = std::fs::remove_file(&path);
     }

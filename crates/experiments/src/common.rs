@@ -1,9 +1,7 @@
 //! Shared infrastructure for the experiment harness: options, the cached
 //! world run, table rendering and CSV output.
 
-use sleepwatch_core::{
-    analyze_world_resumable_with_report, analyze_world_with_report, AnalysisConfig, WorldAnalysis,
-};
+use sleepwatch_core::{AnalysisConfig, WorldAnalysis, WorldRun};
 use sleepwatch_obs::{Reporter, RunReport};
 use sleepwatch_probing::TrinocularConfig;
 use sleepwatch_simnet::{World, WorldConfig};
@@ -133,60 +131,41 @@ impl Context {
                 Self::WORLD_DAYS
             ));
             let progress = |done: usize, total: usize| reporter.report(done, total);
-            let (analysis, report) = match &self.opts.journal {
-                Some(dir) => {
-                    // One journal per (seed, size) pair: a different run
-                    // must never resume from this file.
-                    let path = dir.join(format!(
+            // One journal per (seed, size) pair: a different run must never
+            // resume from this file.
+            let mut journal =
+                self.opts.journal.as_ref().and_then(|dir| match std::fs::create_dir_all(dir) {
+                    Ok(()) => Some(dir.join(format!(
                         "world-s{}-b{}.journal",
                         world.cfg.seed,
                         world.blocks.len()
-                    ));
-                    if let Err(e) = std::fs::create_dir_all(dir) {
+                    ))),
+                    Err(e) => {
                         reporter.note(&format!(
                             "journal dir {} unusable ({e}); running without checkpoints",
                             dir.display()
                         ));
-                        analyze_world_with_report(
-                            &world,
-                            &cfg,
-                            self.opts.threads,
-                            Some(&progress),
-                            "world",
-                        )
-                    } else {
-                        match analyze_world_resumable_with_report(
-                            &world,
-                            &cfg,
-                            self.opts.threads,
-                            &path,
-                            Some(&progress),
-                            "world",
-                        ) {
-                            Ok(pair) => pair,
-                            Err(e) => {
-                                reporter.note(&format!(
-                                    "journal {} unusable ({e}); running without checkpoints",
-                                    path.display()
-                                ));
-                                analyze_world_with_report(
-                                    &world,
-                                    &cfg,
-                                    self.opts.threads,
-                                    Some(&progress),
-                                    "world",
-                                )
-                            }
-                        }
+                        None
+                    }
+                });
+            let threads = self.opts.threads;
+            let (analysis, report) = loop {
+                let run = WorldRun {
+                    threads,
+                    journal: journal.as_deref(),
+                    progress: Some(&progress),
+                    ..WorldRun::default()
+                };
+                match RunReport::measure("world", threads.max(1), || run.analyze(&world, &cfg)) {
+                    (Ok(analysis), report) => break (analysis, report),
+                    (Err(e), _) => {
+                        let path = journal.take().expect("runs without a journal cannot fail");
+                        reporter.note(&format!(
+                            "journal {} unusable ({e}); running without checkpoints",
+                            path.display()
+                        ));
                     }
                 }
-                None => analyze_world_with_report(
-                    &world,
-                    &cfg,
-                    self.opts.threads,
-                    Some(&progress),
-                    "world",
-                ),
             };
             // Memory telemetry (stderr only — never part of any golden
             // artifact): the largest per-worker scratch arena of the run.

@@ -26,6 +26,21 @@ pub struct RunReport {
 }
 
 impl RunReport {
+    /// Runs `f` and reports the metric activity it caused (a delta of the
+    /// global registry around the call) with its wall time. With metrics
+    /// disabled the report is present but all-zero, and `f`'s result is
+    /// unaffected. Concurrent activity elsewhere in the process lands in
+    /// the delta too.
+    pub fn measure<T>(label: &str, threads: usize, f: impl FnOnce() -> T) -> (T, RunReport) {
+        let obs = crate::global();
+        let before = Snapshot::capture(obs);
+        let start = Instant::now();
+        let out = f();
+        let wall_seconds = start.elapsed().as_secs_f64();
+        let snapshot = Snapshot::capture(obs).delta(&before);
+        (out, RunReport { label: label.to_string(), threads, wall_seconds, snapshot })
+    }
+
     /// Blocks analysed per wall-clock second, or 0 for instant runs.
     pub fn blocks_per_second(&self) -> f64 {
         let blocks = self.snapshot.counter("pipeline.blocks_analyzed") as f64;

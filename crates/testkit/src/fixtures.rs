@@ -3,7 +3,7 @@
 //! Everything here is keyed by fixed seeds, so every caller — any thread
 //! count, any test ordering — reconstructs bit-identical inputs.
 
-use sleepwatch_core::{analyze_world, analyze_world_with_mode, AnalysisConfig, WorldRunMode};
+use sleepwatch_core::{analyze_world, AnalysisConfig, WorldRun, WorldRunMode};
 use sleepwatch_probing::{Blackout, EChurn, FaultPlan, LossBurst, TrinocularConfig};
 use sleepwatch_simnet::{BlockProfile, BlockSpec, World, WorldConfig};
 
@@ -45,7 +45,9 @@ pub fn world_dataset_tsv_mode(
     if let Some(plan) = faults {
         cfg.faults = plan;
     }
-    let analysis = analyze_world_with_mode(&world, &cfg, threads, None, mode);
+    let analysis = WorldRun { threads, mode, ..WorldRun::default() }
+        .analyze(&world, &cfg)
+        .expect("runs without a journal cannot fail");
     let mut buf = Vec::new();
     sleepwatch_core::write_dataset(&mut buf, &analysis).expect("in-memory write cannot fail");
     String::from_utf8(buf).expect("dataset is ASCII")

@@ -18,8 +18,8 @@
 
 use sleepwatch_core::journal::record_boundaries;
 use sleepwatch_core::{
-    analyze_world, analyze_world_resumable, dataset_rows, decode_dataset, encode_dataset,
-    read_dataset_bin_file, write_dataset_rows, DatasetMode,
+    analyze_world, dataset_rows, decode_dataset, encode_dataset, read_dataset_bin_file,
+    write_dataset_rows, DatasetMode, WorldRun,
 };
 use sleepwatch_probing::FaultPlan;
 use sleepwatch_testkit::resilience::{
@@ -157,8 +157,9 @@ fn resumed_runs_emit_identical_container_bytes() {
     let world = resilience_world();
     let cfg = resilience_cfg(&world, preset("dup-reorder"));
     let journal = scratch_path("binfmt-resume-ref");
-    let reference =
-        analyze_world_resumable(&world, &cfg, 8, &journal, None).expect("reference run");
+    let reference = WorldRun { threads: 8, journal: Some(&journal), ..WorldRun::default() }
+        .analyze(&world, &cfg)
+        .expect("reference run");
     let want_tsv = dataset_tsv(&reference);
     let want_bin = encode_dataset(&dataset_rows(&reference), DatasetMode::SeedJoined(&world.cfg))
         .expect("reference encode");
@@ -169,7 +170,9 @@ fn resumed_runs_emit_identical_container_bytes() {
     let cut = record_boundaries(&bytes)[RESILIENCE_BLOCKS / 2];
     let severed = scratch_path("binfmt-resume-severed");
     std::fs::write(&severed, &bytes[..cut]).expect("write severed copy");
-    let resumed = analyze_world_resumable(&world, &cfg, 4, &severed, None).expect("resumed run");
+    let resumed = WorldRun { threads: 4, journal: Some(&severed), ..WorldRun::default() }
+        .analyze(&world, &cfg)
+        .expect("resumed run");
 
     assert_eq!(want_tsv, dataset_tsv(&resumed), "resumed TSV diverged");
     let resumed_bin = encode_dataset(&dataset_rows(&resumed), DatasetMode::SeedJoined(&world.cfg))

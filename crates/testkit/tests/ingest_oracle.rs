@@ -17,8 +17,8 @@
 
 use sleepwatch_core::journal::record_boundaries;
 use sleepwatch_core::{
-    analyze_block, analyze_world, analyze_world_resumable, ingest_world, ingest_world_resumable,
-    AnalysisConfig, IngestConfig, WorldAnalysis,
+    analyze_block, analyze_world, ingest_world, ingest_world_resumable, AnalysisConfig,
+    IngestConfig, WorldAnalysis, WorldRun,
 };
 use sleepwatch_probing::{FaultPlan, TrinocularProber};
 use sleepwatch_simnet::{World, WorldConfig, WorldSource};
@@ -233,7 +233,7 @@ fn killed_and_resumed_ingest_heals_to_the_same_verdicts() {
 }
 
 /// The ingest journal speaks the batch journal's format: a run killed
-/// under `analyze_world_resumable` can be finished by the streaming
+/// under a journaled `WorldRun` can be finished by the streaming
 /// engine (and vice versa) with identical verdicts.
 #[test]
 fn batch_and_ingest_checkpoints_are_interchangeable() {
@@ -244,7 +244,9 @@ fn batch_and_ingest_checkpoints_are_interchangeable() {
 
     // Batch writes, ingest finishes.
     let journal = scratch_path("ingest-cross-batch");
-    analyze_world_resumable(&world, &cfg, 8, &journal, None).expect("batch journaled run");
+    WorldRun { threads: 8, journal: Some(&journal), ..WorldRun::default() }
+        .analyze(&world, &cfg)
+        .expect("batch journaled run");
     let bytes = std::fs::read(&journal).expect("read journal");
     let cut = record_boundaries(&bytes)[batch.reports.len() / 3];
     std::fs::write(&journal, &bytes[..cut]).expect("sever");
@@ -259,8 +261,9 @@ fn batch_and_ingest_checkpoints_are_interchangeable() {
     let bytes = std::fs::read(&journal).expect("read finished journal");
     let cut = record_boundaries(&bytes)[batch.reports.len() / 2];
     std::fs::write(&journal, &bytes[..cut]).expect("sever again");
-    let batch_finished =
-        analyze_world_resumable(&world, &cfg, 4, &journal, None).expect("batch resume");
+    let batch_finished = WorldRun { threads: 4, journal: Some(&journal), ..WorldRun::default() }
+        .analyze(&world, &cfg)
+        .expect("batch resume");
     for (s, b) in batch_finished.reports.iter().zip(&batch.reports) {
         assert_eq!(format!("{s:?}"), format!("{b:?}"), "batch finish of ingest journal");
     }

@@ -7,7 +7,7 @@
 //! process-wide; activity is isolated with snapshot deltas around the
 //! measured call.
 
-use sleepwatch_core::{analyze_world, analyze_world_with_mode, AnalysisConfig, WorldRunMode};
+use sleepwatch_core::{analyze_world, AnalysisConfig, WorldRun, WorldRunMode};
 use sleepwatch_obs::Snapshot;
 use sleepwatch_probing::{FaultPlan, TrinocularProber};
 use sleepwatch_simnet::World;
@@ -304,8 +304,11 @@ fn scratch_counters_match_run_shape() {
 
         // FullDetail allocates a fresh arena per block: all grows, and
         // the batch-reuse fix holds there too.
-        let (_, d) =
-            measure(|| analyze_world_with_mode(&world, &cfg, 2, None, WorldRunMode::FullDetail));
+        let (_, d) = measure(|| {
+            WorldRun { threads: 2, mode: WorldRunMode::FullDetail, ..WorldRun::default() }
+                .analyze(&world, &cfg)
+                .unwrap()
+        });
         assert_eq!(d.counter("pipeline.scratch_grows"), n);
         assert_eq!(d.counter("pipeline.scratch_reuses"), 0);
         assert_eq!(d.counter("world.batch_grows"), 0);

@@ -3,12 +3,12 @@
 //! diagnostic, every other block's output is untouched, and the outcome
 //! is identical at every thread count.
 //!
-//! These tests live in their own binary: the panic-planting hook is
-//! process-global, so they must not share a process with the kill-and-
-//! resume suite (whose worlds would trip the planted ids). Within this
-//! binary they serialize on [`lock`].
+//! Planted panics belong to the planting thread and the runs it starts,
+//! so they never trip other suites' worlds. Within this binary the tests
+//! still serialize on [`lock`], which keeps each one's metric deltas its
+//! own.
 
-use sleepwatch_core::{analyze_world, analyze_world_resumable, worldrun::hooks};
+use sleepwatch_core::{analyze_world, worldrun::hooks, WorldRun};
 use sleepwatch_obs::Snapshot;
 use sleepwatch_testkit::resilience::{dataset_tsv, scratch_path};
 use sleepwatch_testkit::{fixtures, goldens_dir};
@@ -126,15 +126,18 @@ fn quarantined_blocks_heal_on_resume() {
 
     {
         let _hooks = plant(5);
-        let crashed =
-            analyze_world_resumable(&world, &cfg, 4, &journal, None).expect("quarantined run");
+        let crashed = WorldRun { threads: 4, journal: Some(&journal), ..WorldRun::default() }
+            .analyze(&world, &cfg)
+            .expect("quarantined run");
         assert_eq!(crashed.quarantined.len(), 1);
         assert_eq!(crashed.quarantined[0].block_id, 5);
         assert_eq!(dataset_tsv(&crashed), golden_minus(&[5]));
     }
 
     // Hook cleared: the "bug" is fixed. Resume from the same journal.
-    let healed = analyze_world_resumable(&world, &cfg, 4, &journal, None).expect("healed run");
+    let healed = WorldRun { threads: 4, journal: Some(&journal), ..WorldRun::default() }
+        .analyze(&world, &cfg)
+        .expect("healed run");
     assert!(healed.quarantined.is_empty());
     let golden = std::fs::read_to_string(goldens_dir().join("world_small.tsv"))
         .expect("recorded golden world_small.tsv");

@@ -2,7 +2,7 @@
 //! journal.
 //!
 //! For every named [`FaultPlan`] preset we run the 500-block resilience
-//! world once to completion through `analyze_world_resumable`, which
+//! world once to completion through a journaled `WorldRun`, which
 //! doubles as the reference output *and* produces a complete journal.
 //! We then simulate two kinds of crash by truncating a copy of that
 //! journal — at an exact record boundary, and mid-record (a torn write) —
@@ -10,8 +10,8 @@
 //! to TSVs byte-identical to the uninterrupted run, at 1 and at 8 worker
 //! threads.
 
-use sleepwatch_core::analyze_world_resumable;
 use sleepwatch_core::journal::record_boundaries;
+use sleepwatch_core::WorldRun;
 use sleepwatch_probing::FaultPlan;
 use sleepwatch_testkit::resilience::{
     dataset_tsv, resilience_cfg, resilience_world, scratch_path, RESILIENCE_BLOCKS,
@@ -44,8 +44,9 @@ fn kill_and_resume(name: &str) {
     let cfg = resilience_cfg(&world, preset(name));
     let journal = scratch_path(&format!("{name}-ref"));
 
-    let reference =
-        analyze_world_resumable(&world, &cfg, 8, &journal, None).expect("reference run");
+    let reference = WorldRun { threads: 8, journal: Some(&journal), ..WorldRun::default() }
+        .analyze(&world, &cfg)
+        .expect("reference run");
     assert!(reference.quarantined.is_empty(), "{name}: unexpected quarantines");
     let want = dataset_tsv(&reference);
 
@@ -61,8 +62,9 @@ fn kill_and_resume(name: &str) {
     // Crash after a clean fsync: the tail ends exactly on a record boundary.
     let boundary = bounds[RESILIENCE_BLOCKS / 2];
     let at_boundary = severed_copy(&journal, &format!("{name}-boundary"), boundary);
-    let resumed =
-        analyze_world_resumable(&world, &cfg, 1, &at_boundary, None).expect("boundary resume");
+    let resumed = WorldRun { threads: 1, journal: Some(&at_boundary), ..WorldRun::default() }
+        .analyze(&world, &cfg)
+        .expect("boundary resume");
     assert!(resumed.quarantined.is_empty());
     assert_eq!(
         want,
@@ -73,7 +75,9 @@ fn kill_and_resume(name: &str) {
     // Torn write: the crash landed mid-record and left a damaged suffix.
     let mid_record = boundary + (bounds[RESILIENCE_BLOCKS / 2 + 1] - boundary) / 2;
     let torn = severed_copy(&journal, &format!("{name}-torn"), mid_record);
-    let resumed = analyze_world_resumable(&world, &cfg, 8, &torn, None).expect("torn resume");
+    let resumed = WorldRun { threads: 8, journal: Some(&torn), ..WorldRun::default() }
+        .analyze(&world, &cfg)
+        .expect("torn resume");
     assert!(resumed.quarantined.is_empty());
     assert_eq!(
         want,
@@ -125,8 +129,9 @@ fn bit_flipped_tail_resumes_identically() {
     let world = resilience_world();
     let cfg = resilience_cfg(&world, FaultPlan::none());
     let journal = scratch_path("flip-ref");
-    let reference =
-        analyze_world_resumable(&world, &cfg, 8, &journal, None).expect("reference run");
+    let reference = WorldRun { threads: 8, journal: Some(&journal), ..WorldRun::default() }
+        .analyze(&world, &cfg)
+        .expect("reference run");
     let want = dataset_tsv(&reference);
 
     let mut bytes = std::fs::read(&journal).expect("read journal");
@@ -136,7 +141,9 @@ fn bit_flipped_tail_resumes_identically() {
     let flipped = scratch_path("flip");
     std::fs::write(&flipped, &bytes).expect("write flipped copy");
 
-    let resumed = analyze_world_resumable(&world, &cfg, 8, &flipped, None).expect("resume");
+    let resumed = WorldRun { threads: 8, journal: Some(&flipped), ..WorldRun::default() }
+        .analyze(&world, &cfg)
+        .expect("resume");
     assert!(resumed.quarantined.is_empty());
     assert_eq!(want, dataset_tsv(&resumed), "resume over a bit-flipped record diverged");
 }
@@ -149,6 +156,8 @@ fn resumable_matches_plain_run() {
     let cfg = resilience_cfg(&world, preset("blackout"));
     let plain = sleepwatch_core::analyze_world(&world, &cfg, 8, None);
     let journal = scratch_path("plain-vs-resumable");
-    let resumable = analyze_world_resumable(&world, &cfg, 8, &journal, None).expect("run");
+    let resumable = WorldRun { threads: 8, journal: Some(&journal), ..WorldRun::default() }
+        .analyze(&world, &cfg)
+        .expect("run");
     assert_eq!(dataset_tsv(&plain), dataset_tsv(&resumable));
 }

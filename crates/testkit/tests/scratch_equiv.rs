@@ -8,7 +8,7 @@
 //! must agree with both, whether the journal starts empty or replays a
 //! completed run.
 
-use sleepwatch_core::{analyze_world_resumable_with_mode, analyze_world_with_mode, WorldRunMode};
+use sleepwatch_core::{WorldRun, WorldRunMode};
 use sleepwatch_probing::FaultPlan;
 use sleepwatch_testkit::fixtures::{
     conformance_faults, small_world, small_world_cfg, world_dataset_tsv_mode,
@@ -71,31 +71,24 @@ fn resumable_journal_path_agrees_across_modes() {
     for (name, plan) in [("none", FaultPlan::none()), ("conformance", conformance_faults())] {
         let mut cfg = small_world_cfg(&world);
         cfg.faults = plan;
-        let fresh = tsv(&analyze_world_with_mode(&world, &cfg, 2, None, WorldRunMode::FullDetail));
+        let fresh =
+            tsv(&WorldRun { threads: 2, mode: WorldRunMode::FullDetail, ..WorldRun::default() }
+                .analyze(&world, &cfg)
+                .unwrap());
         for threads in THREAD_COUNTS {
             let path = dir.join(format!("{name}-{threads}.journal"));
             let _ = std::fs::remove_file(&path);
             // First pass writes the journal from scratch…
-            let first = analyze_world_resumable_with_mode(
-                &world,
-                &cfg,
+            let run = WorldRun {
                 threads,
-                &path,
-                None,
-                WorldRunMode::SummaryOnly,
-            )
-            .unwrap();
+                mode: WorldRunMode::SummaryOnly,
+                journal: Some(&path),
+                ..WorldRun::default()
+            };
+            let first = run.analyze(&world, &cfg).unwrap();
             assert_eq!(tsv(&first), fresh, "journaled scratch run (regime {name}, {threads}t)");
             // …and a second pass replays every block from it.
-            let replayed = analyze_world_resumable_with_mode(
-                &world,
-                &cfg,
-                threads,
-                &path,
-                None,
-                WorldRunMode::SummaryOnly,
-            )
-            .unwrap();
+            let replayed = run.analyze(&world, &cfg).unwrap();
             assert_eq!(tsv(&replayed), fresh, "journal replay (regime {name}, {threads}t)");
             let _ = std::fs::remove_file(&path);
         }

@@ -13,7 +13,7 @@
 //! a process where no concurrent test is generating blocks.
 
 use sleepwatch_core::journal::record_boundaries;
-use sleepwatch_core::{analyze_world_stats_resumable, AnalysisConfig};
+use sleepwatch_core::{AnalysisConfig, WorldRun};
 use sleepwatch_obs::Snapshot;
 use sleepwatch_simnet::{WorldConfig, WorldSource};
 use sleepwatch_testkit::resilience::scratch_path;
@@ -46,8 +46,9 @@ fn resume_at_paper_scale_never_regenerates_journaled_shards() {
 
     // Reference: uninterrupted run, which also writes a complete journal.
     let before = Snapshot::capture(obs);
-    let reference =
-        analyze_world_stats_resumable(&source, &cfg, 4, &journal, None).expect("reference run");
+    let reference = WorldRun { threads: 4, journal: Some(&journal), ..WorldRun::default() }
+        .stats(&source, &cfg)
+        .expect("reference run");
     let d = Snapshot::capture(obs).delta(&before);
     assert!(reference.quarantined.is_empty());
     assert_eq!(reference.blocks, BLOCKS);
@@ -63,8 +64,9 @@ fn resume_at_paper_scale_never_regenerates_journaled_shards() {
     let severed =
         severed_copy(&journal, "src-resume-severed", record_boundaries(&bytes)[JOURNALED]);
     let before = Snapshot::capture(obs);
-    let resumed =
-        analyze_world_stats_resumable(&source, &cfg, 4, &severed, None).expect("resumed run");
+    let resumed = WorldRun { threads: 4, journal: Some(&severed), ..WorldRun::default() }
+        .stats(&source, &cfg)
+        .expect("resumed run");
     let d = Snapshot::capture(obs).delta(&before);
     assert_eq!(reference, resumed, "resumed aggregate diverged from uninterrupted run");
     assert_eq!(
@@ -75,8 +77,9 @@ fn resume_at_paper_scale_never_regenerates_journaled_shards() {
 
     // Replay: the severed journal is now complete; nothing regenerates.
     let before = Snapshot::capture(obs);
-    let replayed =
-        analyze_world_stats_resumable(&source, &cfg, 4, &severed, None).expect("replay run");
+    let replayed = WorldRun { threads: 4, journal: Some(&severed), ..WorldRun::default() }
+        .stats(&source, &cfg)
+        .expect("replay run");
     let d = Snapshot::capture(obs).delta(&before);
     assert_eq!(reference, replayed);
     assert_eq!(d.counter("simnet.blocks_generated"), 0, "full replay must not generate");

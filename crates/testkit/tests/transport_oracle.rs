@@ -29,8 +29,8 @@ use std::thread;
 
 use sleepwatch_core::journal::record_boundaries;
 use sleepwatch_core::{
-    analyze_world, analyze_world_resumable, feed_identity, ingest_source, ingest_source_resumable,
-    world_feed, AnalysisConfig, IngestConfig, TransportOutcome, WorldAnalysis,
+    analyze_world, feed_identity, ingest_source, ingest_source_resumable, world_feed,
+    AnalysisConfig, IngestConfig, TransportOutcome, WorldAnalysis, WorldRun,
 };
 use sleepwatch_probing::stream::RoundEvent;
 use sleepwatch_probing::transport::{
@@ -424,7 +424,7 @@ fn foreign_feed_is_refused_with_typed_error() {
 
 /// The transport-fed journal speaks the batch journal's format: a run
 /// ingested over TCP can be severed and finished by
-/// `analyze_world_resumable`, and a severed batch journal can be
+/// a journaled `WorldRun`, and a severed batch journal can be
 /// finished over the wire — identical verdicts both ways.
 #[test]
 fn transport_and_batch_checkpoints_are_interchangeable() {
@@ -442,7 +442,9 @@ fn transport_and_batch_checkpoints_are_interchangeable() {
     let bytes = std::fs::read(&journal).expect("read journal");
     let cut = record_boundaries(&bytes)[batch.reports.len() / 3];
     std::fs::write(&journal, &bytes[..cut]).expect("sever");
-    let finished = analyze_world_resumable(&world, &cfg, 4, &journal, None).expect("batch resume");
+    let finished = WorldRun { threads: 4, journal: Some(&journal), ..WorldRun::default() }
+        .analyze(&world, &cfg)
+        .expect("batch resume");
     for (s, b) in finished.reports.iter().zip(&batch.reports) {
         assert_eq!(format!("{s:?}"), format!("{b:?}"), "batch finish of transport journal");
     }
