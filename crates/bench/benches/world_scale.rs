@@ -6,9 +6,11 @@
 //!
 //! 1. **`batch_fft` microbench** — one-at-a-time `real_with_scratch`
 //!    against the 4- and 8-lane `real_batch_with_scratch` at the series
-//!    lengths world runs actually produce: 4582 rounds (35-day paper
-//!    span, even packed-half path) and 131 rounds (1-day smoke span, odd
-//!    Bluestein path). Gate: the 8-lane kernel must be ≥
+//!    lengths world runs produce: 4451 rounds (the 35-day paper span after
+//!    the midnight trim, a prime and so the Bluestein path; the length
+//!    every world run's FFT has), 131 rounds (1-day smoke span, odd
+//!    Bluestein path), and 4582 rounds (the untrimmed 35-day length, even
+//!    packed-half path). Gate: the 8-lane kernel must be ≥
 //!    `BATCH_FFT_MIN_SPEEDUP`× the scalar loop. Timings take the minimum
 //!    across samples — the noise-robust estimator on shared machines.
 //! 2. **End-to-end world run** — `WORLD_BENCH_BLOCKS` blocks (default
@@ -132,10 +134,11 @@ fn main() {
     sleepwatch_obs::set_global_enabled(true);
     let obs = sleepwatch_obs::global();
 
-    // ---- Kernel microbench at the two series lengths world runs
-    // produce: 131 rounds (1-day spans, odd Bluestein) and 4582 rounds
-    // (the paper's 35-day span, even packed-half path).
-    let fft = bench_batch_fft(&[131, 4582]);
+    // ---- Kernel microbench: 131 rounds (1-day spans, odd Bluestein),
+    // 4451 rounds (the trimmed 35-day span every world run produces,
+    // prime Bluestein) and 4582 rounds (untrimmed 35 days, even
+    // packed-half path).
+    let fft = bench_batch_fft(&[131, 4451, 4582]);
     for row in &fft {
         println!(
             "batch_fft n={}: scalar {:.0} ns/series, 4-lane {:.0} ({:.2}x), 8-lane {:.0} ({:.2}x)",

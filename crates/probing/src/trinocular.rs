@@ -20,7 +20,7 @@ use crate::faults::FaultPlan;
 use crate::record::{BlockRun, RoundRecord};
 use sleepwatch_availability::{AvailabilityEstimator, EwmaConfig};
 use sleepwatch_geoecon::rng::KeyedRng;
-use sleepwatch_simnet::{BlockSpec, ProbeOutcome, ROUND_SECONDS};
+use sleepwatch_simnet::{AddrMemo, BlockProfile, BlockSpec, ProbeOutcome, ROUND_SECONDS};
 
 /// Reachability verdict for one round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -141,13 +141,24 @@ pub struct OutageEvent {
 }
 
 /// Adaptive prober for one block.
+///
+/// A prober is bound to the block it was built from: it resolves every
+/// walk address's behaviour once at construction and memoises each
+/// address's day windows as it probes. Its [`round`](Self::round) and
+/// `run*` methods must therefore be driven with that same block (checked
+/// by `(seed, id)` in debug builds).
 #[derive(Debug, Clone)]
 pub struct TrinocularProber {
     cfg: TrinocularConfig,
     estimator: AvailabilityEstimator,
     belief_up: f64,
     state: BlockState,
+    /// `(seed, id)` of the block the memo was resolved from.
+    block_key: (u64, u64),
     walk: Vec<u8>,
+    /// Parallel to `walk`: `memo[i]` is `walk[i]`'s resolved behaviour and
+    /// day windows.
+    memo: Vec<AddrMemo>,
     cursor: usize,
     outages: Vec<OutageEvent>,
     total_probes: u64,
@@ -164,6 +175,7 @@ pub struct TrinocularProber {
 #[derive(Debug, Default)]
 pub struct ProberScratch {
     walk: Vec<u8>,
+    memo: Vec<AddrMemo>,
     outages: Vec<OutageEvent>,
 }
 
@@ -176,6 +188,7 @@ impl ProberScratch {
     /// Heap bytes currently reserved by the scratch buffers.
     pub fn footprint_bytes(&self) -> usize {
         self.walk.capacity() * std::mem::size_of::<u8>()
+            + self.memo.capacity() * std::mem::size_of::<AddrMemo>()
             + self.outages.capacity() * std::mem::size_of::<OutageEvent>()
     }
 
@@ -186,11 +199,28 @@ impl ProberScratch {
     }
 
     /// Fills the buffers with garbage, for tests proving output
-    /// independence from prior scratch contents.
+    /// independence from prior scratch contents. The memo gets another
+    /// block's behaviours with day windows already drawn, so a stale entry
+    /// that leaked into the next block would change its probe outcomes.
     #[doc(hidden)]
     pub fn poison(&mut self, seed: u64) {
         self.walk.clear();
         self.walk.extend((0..97u64).map(|i| (seed.wrapping_mul(31).wrapping_add(i)) as u8));
+        let mut profile = BlockProfile::always_on(40, 0.5);
+        profile.n_diurnal = 120;
+        profile.diurnal_avail = 0.7;
+        profile.onset_hours = (seed % 24) as f64;
+        profile.duration_hours = 9.0;
+        profile.sigma_start = 1.0;
+        profile.sigma_duration = 1.0;
+        let other = BlockSpec::bare(seed ^ 0x5eed, seed.wrapping_add(1), profile);
+        let time = seed % (400 * 86_400);
+        self.memo.clear();
+        self.memo.extend(self.walk.iter().map(|&addr| {
+            let mut memo = other.addr_memo(addr);
+            other.probe_outcome_with(addr, time, &mut memo);
+            memo
+        }));
         self.outages.clear();
         self.outages.push(OutageEvent { start_round: seed, end_round: None });
     }
@@ -226,7 +256,8 @@ impl TrinocularProber {
         walk.extend((0..block.ever_active_count()).map(|s| block.slot_to_addr(s as u8)));
         let mut outages = std::mem::take(&mut scratch.outages);
         outages.clear();
-        Self::with_buffers(block, walk, outages, block.hist_avail, cfg)
+        let memo = std::mem::take(&mut scratch.memo);
+        Self::with_buffers(block, walk, memo, outages, block.hist_avail, cfg)
     }
 
     /// Returns the prober's buffers to `scratch` for the next block,
@@ -235,6 +266,7 @@ impl TrinocularProber {
     /// [`new_reusing`](Self::new_reusing).
     pub fn recycle(self, scratch: &mut ProberScratch) {
         scratch.walk = self.walk;
+        scratch.memo = self.memo;
         scratch.outages = self.outages;
     }
 
@@ -262,12 +294,15 @@ impl TrinocularProber {
         hist_avail: f64,
         cfg: TrinocularConfig,
     ) -> Self {
-        Self::with_buffers(block, walk, Vec::new(), hist_avail, cfg)
+        Self::with_buffers(block, walk, Vec::new(), Vec::new(), hist_avail, cfg)
     }
 
+    /// Shuffles `walk` and resolves `memo` parallel to it; `memo` may hold
+    /// anything (it is cleared), `outages` must arrive empty.
     fn with_buffers(
         block: &BlockSpec,
         mut walk: Vec<u8>,
+        mut memo: Vec<AddrMemo>,
         outages: Vec<OutageEvent>,
         hist_avail: f64,
         cfg: TrinocularConfig,
@@ -279,6 +314,8 @@ impl TrinocularProber {
             let j = rng.below(i as u64 + 1) as usize;
             walk.swap(i, j);
         }
+        memo.clear();
+        memo.extend(walk.iter().map(|&addr| block.addr_memo(addr)));
         // Building the E(b) walk is the initial refresh.
         sleepwatch_obs::global().probing.eb_refreshes.incr();
         TrinocularProber {
@@ -286,7 +323,9 @@ impl TrinocularProber {
             estimator: AvailabilityEstimator::new(hist_avail, cfg.ewma),
             belief_up: 0.9, // blocks start presumed up, as in Trinocular
             state: BlockState::Up,
+            block_key: (block.seed, block.id),
             walk,
+            memo,
             cursor: 0,
             outages,
             total_probes: 0,
@@ -358,6 +397,11 @@ impl TrinocularProber {
         // flush at the end of the run.
         burst_lost: &mut u64,
     ) -> Option<RoundRecord> {
+        debug_assert_eq!(
+            (block.seed, block.id),
+            self.block_key,
+            "a prober must be driven with the block it was built for"
+        );
         if self.walk.is_empty() {
             return None;
         }
@@ -375,8 +419,8 @@ impl TrinocularProber {
         }
         while probes < self.cfg.max_probes_per_round.min(self.walk.len() as u32) {
             let addr = self.walk[self.cursor];
+            let mut outcome = block.probe_outcome_with(addr, time, &mut self.memo[self.cursor]);
             self.cursor = (self.cursor + 1) % self.walk.len();
-            let mut outcome = block.probe_outcome(addr, time);
             if outcome == ProbeOutcome::Reply && self.cfg.transit_loss_rate > 0.0 {
                 // The reply can die on the path; keyed per (block, addr,
                 // time) so replays stay exact.
@@ -663,6 +707,7 @@ impl TrinocularProber {
         for draw in 0..n {
             let (slot, octet) = plan.churn_slot(block.id, draw as u64, self.walk.len());
             self.walk[slot] = octet;
+            self.memo[slot] = block.addr_memo(octet);
         }
         let obs = sleepwatch_obs::global();
         obs.probing.eb_refreshes.incr();

@@ -7,6 +7,14 @@
 //! duration, and both onset and duration may carry per-day Gaussian noise
 //! (`σ_s`, `σ_d`). Noise draws are keyed by `(…, day)`, so a day's schedule
 //! is stable however often it is probed.
+//!
+//! Because a day's window is a pure function of `(address, day)`, a caller
+//! that probes one address many times a day can keep that address's last
+//! two windows and pay for the noise draws once per day instead of once per
+//! probe. The prober does exactly that through the per-block
+//! [`AddrMemo`](crate::block::AddrMemo) table; the uncached entry points
+//! ([`AddressBehavior::is_up`] and friends) run the same code with an empty
+//! memo, so both paths return the same bits.
 
 use sleepwatch_geoecon::rng::{hash_parts, KeyedRng};
 
@@ -32,6 +40,44 @@ pub struct AddrKey {
 impl AddrKey {
     fn parts(&self, stream: u64, extra: u64) -> [u64; 5] {
         [self.seed, stream, self.block, self.addr as u64, extra]
+    }
+}
+
+/// One address's realized daily windows for the last local day it was
+/// evaluated on: `(onset, duration)` in hours for that day and the day
+/// before, exactly as [`AddressBehavior::is_up`] would derive them.
+///
+/// Probes move forward in time, so the usual step is "same day" (nothing to
+/// draw) or "next day" (today's window becomes yesterday's and only the new
+/// day is drawn). Any other jump redraws both. The default value holds no
+/// day and misses on first use.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct DayWindows {
+    /// Local day index (the `floor` of local days) the windows belong to;
+    /// NaN when empty, which compares unequal to every day.
+    day: f64,
+    yesterday: (f64, f64),
+    today: (f64, f64),
+}
+
+impl Default for DayWindows {
+    fn default() -> Self {
+        DayWindows { day: f64::NAN, yesterday: (0.0, 0.0), today: (0.0, 0.0) }
+    }
+}
+
+impl DayWindows {
+    /// The windows of `day - 1.0` and `day`, drawing through `window` only
+    /// the ones not already held. `window` is called with the same `f64`
+    /// day values the uncached evaluation would key on, so a shifted
+    /// window is bit-for-bit the one a fresh draw would return.
+    fn get(&mut self, day: f64, window: impl Fn(f64) -> (f64, f64)) -> [(f64, f64); 2] {
+        if self.day != day {
+            self.yesterday = if self.day == day - 1.0 { self.today } else { window(day - 1.0) };
+            self.today = window(day);
+            self.day = day;
+        }
+        [self.yesterday, self.today]
     }
 }
 
@@ -94,6 +140,13 @@ impl AddressBehavior {
     /// Whether the address is *up* (would answer with its `avail`
     /// probability) at `time` seconds since the epoch.
     pub fn is_up(&self, key: AddrKey, time: u64) -> bool {
+        self.is_up_with(key, time, &mut DayWindows::default())
+    }
+
+    /// [`is_up`](Self::is_up), reading and refreshing this address's
+    /// memoised day windows. `windows` must only ever be used with this
+    /// behaviour and `key`.
+    pub(crate) fn is_up_with(&self, key: AddrKey, time: u64, windows: &mut DayWindows) -> bool {
         match *self {
             AddressBehavior::Inactive => false,
             AddressBehavior::On { .. } => true,
@@ -116,15 +169,17 @@ impl AddressBehavior {
 
                 // An up-period that starts late yesterday can cover early
                 // today, so evaluate yesterday's window too.
-                for d in [day - 1.0, day] {
-                    let (start, dur) = self.daily_window(
+                let [yesterday, today] = windows.get(day, |d| {
+                    self.daily_window(
                         key,
                         d as i64,
                         onset_hours,
                         duration_hours,
                         sigma_start,
                         sigma_duration,
-                    );
+                    )
+                });
+                for (d, (start, dur)) in [(day - 1.0, yesterday), (day, today)] {
                     let offset = (day - d) * 24.0; // 24 when looking at yesterday
                     let t = tod_h + offset;
                     if t >= start && t < start + dur {
@@ -165,18 +220,22 @@ impl AddressBehavior {
     /// Probability the address answers a probe at `time` (0, or its `avail`
     /// while up). This is the ground-truth expectation the estimators chase.
     pub fn response_probability(&self, key: AddrKey, time: u64) -> f64 {
+        self.response_probability_with(key, time, &mut DayWindows::default())
+    }
+
+    /// [`response_probability`](Self::response_probability) over memoised
+    /// day windows (see [`is_up_with`](Self::is_up_with)).
+    pub(crate) fn response_probability_with(
+        &self,
+        key: AddrKey,
+        time: u64,
+        windows: &mut DayWindows,
+    ) -> f64 {
         match *self {
             AddressBehavior::Inactive => 0.0,
             AddressBehavior::On { avail } => avail,
-            AddressBehavior::Periodic { avail, .. } => {
-                if self.is_up(key, time) {
-                    avail
-                } else {
-                    0.0
-                }
-            }
-            AddressBehavior::Diurnal { avail, .. } => {
-                if self.is_up(key, time) {
+            AddressBehavior::Periodic { avail, .. } | AddressBehavior::Diurnal { avail, .. } => {
+                if self.is_up_with(key, time, windows) {
                     avail
                 } else {
                     0.0

@@ -7,8 +7,14 @@
 //! address's behaviour in O(1). That keeps a multi-hundred-thousand-block
 //! world in a few tens of megabytes while remaining bit-for-bit
 //! reproducible.
+//!
+//! A prober that probes the same addresses every round resolves each one
+//! once into an [`AddrMemo`] (its behaviour plus its memoised day windows)
+//! and probes through [`BlockSpec::probe_outcome_with`]. The plain
+//! [`BlockSpec::probe_outcome`] resolves a one-off memo and runs the same
+//! body, so the two cannot disagree.
 
-use crate::behavior::{AddrKey, AddressBehavior};
+use crate::behavior::{AddrKey, AddressBehavior, DayWindows};
 use sleepwatch_geoecon::allocation::YearMonth;
 use sleepwatch_geoecon::rng::KeyedRng;
 
@@ -165,6 +171,16 @@ fn jittered_avail(base: f64, block: &BlockSpec, addr: u8) -> f64 {
     }
     let mut rng = KeyedRng::from_parts(&[block.seed, STREAM_ADDR_AVAIL, block.id, addr as u64]);
     (base + rng.range(-0.08, 0.08)).clamp(0.02, 1.0)
+}
+
+/// One address's per-block probe state: its resolved [`AddressBehavior`]
+/// and, for diurnal addresses, the realized windows of the last local day
+/// it was probed on. Built by [`BlockSpec::addr_memo`]; valid only for the
+/// block (and address) it was built from.
+#[derive(Debug, Clone, Copy)]
+pub struct AddrMemo {
+    behavior: AddressBehavior,
+    windows: DayWindows,
 }
 
 /// One /24 block of the synthetic world.
@@ -333,14 +349,27 @@ impl BlockSpec {
         matches!(self.outage, Some((s, e)) if time >= s && time < e)
     }
 
+    /// Resolves `addr` into a fresh memo for the `_with` probe methods.
+    pub fn addr_memo(&self, addr: u8) -> AddrMemo {
+        AddrMemo { behavior: self.behavior_of(addr), windows: DayWindows::default() }
+    }
+
     /// Drift-adjusted probability that `addr` answers a probe at `time`
     /// (0 during outages).
     pub fn response_probability(&self, addr: u8, time: u64) -> f64 {
+        self.response_probability_with(addr, time, &mut self.addr_memo(addr))
+    }
+
+    /// [`response_probability`](Self::response_probability) through
+    /// `memo`, which must come from [`addr_memo`](Self::addr_memo) on this
+    /// block and `addr`. Returns the same bits for any earlier use of the
+    /// memo.
+    pub fn response_probability_with(&self, addr: u8, time: u64, memo: &mut AddrMemo) -> f64 {
         if self.in_outage(time) {
             return 0.0;
         }
         let key = AddrKey { seed: self.seed, block: self.id, addr };
-        let mut p = self.behavior_of(addr).response_probability(key, time);
+        let mut p = memo.behavior.response_probability_with(key, time, &mut memo.windows);
         if p <= 0.0 {
             return 0.0;
         }
@@ -357,7 +386,11 @@ impl BlockSpec {
     /// Samples one probe of `addr` at `time`. Deterministic in
     /// `(block, addr, time)`, so full runs replay exactly.
     pub fn probe(&self, addr: u8, time: u64) -> bool {
-        let p = self.response_probability(addr, time);
+        self.probe_with(addr, time, &mut self.addr_memo(addr))
+    }
+
+    fn probe_with(&self, addr: u8, time: u64, memo: &mut AddrMemo) -> bool {
+        let p = self.response_probability_with(addr, time, memo);
         if p <= 0.0 {
             false
         } else if p >= 1.0 {
@@ -381,6 +414,14 @@ impl BlockSpec {
     /// timeouts, and — during routed outages — explicit unreachable errors
     /// from upstream routers.
     pub fn probe_outcome(&self, addr: u8, time: u64) -> ProbeOutcome {
+        self.probe_outcome_with(addr, time, &mut self.addr_memo(addr))
+    }
+
+    /// [`probe_outcome`](Self::probe_outcome) through `memo` (see
+    /// [`response_probability_with`](Self::response_probability_with)):
+    /// the per-probe cost drops to the response draw plus, once per local
+    /// day, the day's window draws.
+    pub fn probe_outcome_with(&self, addr: u8, time: u64, memo: &mut AddrMemo) -> ProbeOutcome {
         if self.in_outage(time) {
             let unreachable = sleepwatch_geoecon::rng::chance_at(
                 Self::OUTAGE_UNREACHABLE_RATE,
@@ -388,7 +429,7 @@ impl BlockSpec {
             );
             return if unreachable { ProbeOutcome::Unreachable } else { ProbeOutcome::Timeout };
         }
-        if self.probe(addr, time) {
+        if self.probe_with(addr, time, memo) {
             ProbeOutcome::Reply
         } else {
             // A live block's unanswering addresses just drop the probe;

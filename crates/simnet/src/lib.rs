@@ -7,7 +7,8 @@
 //!   duration, per-day `σ_s`/`σ_d` noise, §3.2.2), inactive — as pure
 //!   functions of `(seed, block, address, time)`;
 //! * [`block`]: compact /24 specs that derive any address's behaviour in
-//!   O(1), with injected outages and ground-truth availability;
+//!   O(1), with injected outages and ground-truth availability, plus the
+//!   per-address [`AddrMemo`] a prober keeps for the block's walk;
 //! * [`world`]: a calibrated population of blocks across ~55 countries,
 //!   planting the paper's country fractions, phase/longitude structure,
 //!   allocation-age gradient and link-technology correlations;
@@ -41,7 +42,9 @@ pub mod rdns;
 pub mod world;
 
 pub use behavior::{AddrKey, AddressBehavior};
-pub use block::{is_weekend, BlockProfile, BlockSpec, LeaseParams, LinkClass, ProbeOutcome};
+pub use block::{
+    is_weekend, AddrMemo, BlockProfile, BlockSpec, LeaseParams, LinkClass, ProbeOutcome,
+};
 pub use campus::{generate_campus, CampusConfig, CampusUse};
 pub use controlled::ControlledConfig;
 pub use rdns::{ptr_name, ptr_names};

@@ -2,7 +2,9 @@
 //! bijectivity, and behavioural invariants over arbitrary parameters.
 
 use proptest::prelude::*;
-use sleepwatch_simnet::{AddrKey, AddressBehavior, BlockProfile, BlockSpec};
+use sleepwatch_simnet::{
+    AddrKey, AddressBehavior, BlockProfile, BlockSpec, LeaseParams, A12W_START,
+};
 
 fn arb_profile() -> impl Strategy<Value = BlockProfile> {
     (
@@ -31,8 +33,108 @@ fn arb_profile() -> impl Strategy<Value = BlockProfile> {
         })
 }
 
+/// `zero` about a third of the time, otherwise a draw from `range`.
+fn zero_or(zero: f64, range: std::ops::Range<f64>) -> impl Strategy<Value = f64> {
+    (0u8..3, range).prop_map(move |(pick, x)| if pick == 0 { zero } else { x })
+}
+
+/// A block exercising every input the probe path reads: noisy and
+/// noise-free day windows, both signs of UTC offset, lease sweeps, an
+/// outage, weekend modulation and drift. Times passed to it are offsets
+/// from the returned base time.
+fn arb_probed_block() -> impl Strategy<Value = (BlockSpec, u64)> {
+    (
+        (0u16..=64, 1u16..=128, 0.05f64..=1.0, 0.05f64..=1.0, 0.0f64..24.0, 0.0f64..12.0),
+        (1.0f64..16.0, zero_or(0.0, 0.01..4.0), zero_or(0.0, 0.01..4.0), -12.0f64..14.0),
+        (0u64..1000, prop::option::of((1.0f64..48.0, 0.1f64..=1.0)), 0u8..=255, 0u8..=127),
+        (
+            prop::option::of((0u64..(6 * 86_400), 0u64..(2 * 86_400))),
+            zero_or(1.0, 0.2..1.5),
+            zero_or(0.0, -20.0..20.0),
+            any::<bool>().prop_map(|paper| if paper { A12W_START } else { 0 }),
+        ),
+    )
+        .prop_map(
+            |(
+                (ns, nd, sa, da, onset, spread),
+                (dur, ss, sd, tz),
+                (seed, lease, perm_offset, step_half),
+                (outage, weekend, drift, base),
+            )| {
+                let profile = BlockProfile {
+                    n_stable: ns,
+                    n_diurnal: nd,
+                    stable_avail: sa,
+                    diurnal_avail: da,
+                    onset_hours: onset,
+                    onset_spread: spread,
+                    duration_hours: dur,
+                    duration_spread: 1.0,
+                    sigma_start: ss,
+                    sigma_duration: sd,
+                    utc_offset_hours: tz,
+                };
+                let mut b = BlockSpec::bare(21, seed, profile);
+                b.lease = lease.map(|(period_hours, duty)| LeaseParams { period_hours, duty });
+                b.outage = outage.map(|(start, len)| (base + start, base + start + len));
+                b.weekend_scale = weekend;
+                b.drift_addr_per_day = drift;
+                b.drift_ref = base;
+                b.perm_offset = perm_offset;
+                b.perm_step = step_half * 2 + 1;
+                (b, base)
+            },
+        )
+}
+
+/// Steps between consecutive probe times: forward within a day (rounds
+/// are 660 s apart), the same time again, backwards jumps and multi-day
+/// gaps, so every branch of the day-window memo is taken.
+fn arb_time_steps() -> impl Strategy<Value = Vec<i64>> {
+    let step = (0u8..7, 0i64..=3_600, 1i64..(3 * 86_400), 86_400i64..(9 * 86_400)).prop_map(
+        |(kind, forward, back, gap)| match kind {
+            0..=3 => forward,
+            4 => 0,
+            5 => -back,
+            _ => gap,
+        },
+    );
+    prop::collection::vec(step, 1..100)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Probing through a long-lived per-address memo gives exactly the
+    /// outcome — and the exact response probability bits — of the uncached
+    /// `probe_outcome`, whatever order the probe times come in.
+    #[test]
+    fn memoised_probe_outcomes_match_probe_outcome(
+        block in arb_probed_block(),
+        start in 0u64..(3 * 86_400),
+        steps in arb_time_steps(),
+    ) {
+        let (b, base) = block;
+        // A spread of addresses covering stable, cycling and inactive slots.
+        let addrs: Vec<u8> = (0..=255u8).step_by(7).collect();
+        let mut memos: Vec<_> = addrs.iter().map(|&a| b.addr_memo(a)).collect();
+        let mut time = base + start;
+        for step in steps {
+            time = time.saturating_add_signed(step);
+            for (&addr, memo) in addrs.iter().zip(&mut memos) {
+                prop_assert_eq!(
+                    b.probe_outcome_with(addr, time, memo),
+                    b.probe_outcome(addr, time),
+                    "addr {} at t={}", addr, time
+                );
+                prop_assert_eq!(
+                    b.response_probability_with(addr, time, memo).to_bits(),
+                    b.response_probability(addr, time).to_bits(),
+                    "addr {} at t={}", addr, time
+                );
+            }
+        }
+    }
 
     #[test]
     fn address_permutation_is_always_a_bijection(
