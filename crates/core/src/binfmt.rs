@@ -268,51 +268,29 @@ fn get_rice_col(r: &mut BitReader<'_>, n: usize, out: &mut Vec<u64>) -> Option<(
 }
 
 // ---------------------------------------------------------------------------
-// Link masks and class codes
+// Link masks
 // ---------------------------------------------------------------------------
-
-/// The keywords a link mask expands to, in [`LinkFeature::ALL`] order.
-fn mask_keywords(mask: u16) -> impl Iterator<Item = &'static str> {
-    LinkFeature::ALL
-        .iter()
-        .enumerate()
-        .filter(move |(i, _)| mask & (1 << i) != 0)
-        .map(|(_, f)| f.keyword())
-}
 
 /// Compresses a row's link keywords into a [`LinkFeature::ALL`] bitmask,
 /// verifying the mask expands back to exactly the stored list (order and
 /// multiplicity included) so decode reproduces the TSV byte-for-byte.
 fn link_mask(row: &DatasetRow) -> Result<u16, EncodeError> {
     let err = EncodeError::Unrepresentable { block_id: row.block_id, field: "links" };
-    let mut mask = 0u16;
-    for kw in &row.links {
-        let pos =
-            LinkFeature::ALL.iter().position(|f| f.keyword() == kw).ok_or_else(|| err.clone())?;
-        mask |= 1 << pos;
-    }
-    let echoes = mask_keywords(mask).eq(row.links.iter().map(|s| s.as_str()));
+    let mask = row
+        .links
+        .iter()
+        .try_fold(0, |mask, kw| {
+            let feature = LinkFeature::ALL.iter().find(|f| f.keyword() == kw)?;
+            Some(mask | LinkFeature::mask([feature]))
+        })
+        .ok_or_else(|| err.clone())?;
+    let echoes = LinkFeature::from_mask(mask)
+        .map(LinkFeature::keyword)
+        .eq(row.links.iter().map(|s| s.as_str()));
     if echoes {
         Ok(mask)
     } else {
         Err(err)
-    }
-}
-
-fn class_code(c: DiurnalClass) -> u64 {
-    match c {
-        DiurnalClass::Strict => 0,
-        DiurnalClass::Relaxed => 1,
-        DiurnalClass::NonDiurnal => 2,
-    }
-}
-
-fn class_from_code(code: u64) -> Option<DiurnalClass> {
-    match code {
-        0 => Some(DiurnalClass::Strict),
-        1 => Some(DiurnalClass::Relaxed),
-        2 => Some(DiurnalClass::NonDiurnal),
-        _ => None,
     }
 }
 
@@ -530,7 +508,7 @@ pub fn encode_dataset(rows: &[DatasetRow], mode: DatasetMode<'_>) -> Result<Vec<
             w.put(g, width);
         }
         for row in chunk {
-            w.put(class_code(row.class), 2);
+            w.put(row.class.code() as u64, 2);
             w.put_bit(row.stationary);
             w.put_bit(row.phase.is_some());
         }
@@ -662,7 +640,7 @@ impl fmt::Display for AllocDate<'_> {
 impl BinRow<'_> {
     /// The row's link keywords, in [`LinkFeature::ALL`] order.
     pub fn links(&self) -> impl Iterator<Item = &'static str> {
-        mask_keywords(self.link_mask)
+        LinkFeature::from_mask(self.link_mask).map(LinkFeature::keyword)
     }
 
     /// Materializes an owned [`DatasetRow`].
@@ -958,7 +936,7 @@ fn decode_frame(
     }
     for _ in 0..count {
         let code = r.get(2).ok_or(frame("flags truncated"))?;
-        s.class.push(class_from_code(code).ok_or(frame("bad class code"))?);
+        s.class.push(DiurnalClass::from_code(code as u8).ok_or(frame("bad class code"))?);
         s.stationary.push(r.get_bit().ok_or(frame("flags truncated"))?);
         s.has_phase.push(r.get_bit().ok_or(frame("flags truncated"))?);
     }

@@ -55,23 +55,6 @@ pub struct DatasetRow {
     pub links: Vec<String>,
 }
 
-fn class_str(c: DiurnalClass) -> &'static str {
-    match c {
-        DiurnalClass::Strict => "d",
-        DiurnalClass::Relaxed => "r",
-        DiurnalClass::NonDiurnal => "n",
-    }
-}
-
-fn class_from(s: &str) -> Result<DiurnalClass, ParseError> {
-    match s {
-        "d" => Ok(DiurnalClass::Strict),
-        "r" => Ok(DiurnalClass::Relaxed),
-        "n" => Ok(DiurnalClass::NonDiurnal),
-        other => Err(ParseError::BadField(format!("unknown class {other:?}"))),
-    }
-}
-
 /// Writes one report row.
 fn write_row<W: Write>(w: &mut W, r: &WorldBlockReport) -> io::Result<()> {
     let opt = |v: Option<f64>| v.map(|x| format!("{x:.6}")).unwrap_or_else(|| "-".into());
@@ -80,7 +63,7 @@ fn write_row<W: Write>(w: &mut W, r: &WorldBlockReport) -> io::Result<()> {
         w,
         "{}\t{}\t{}\t{:.6}\t{:.4}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
         r.summary.block_id,
-        class_str(r.summary.class),
+        r.summary.class.letter(),
         opt(r.summary.phase),
         r.summary.mean_a,
         r.summary.strongest_cpd,
@@ -147,7 +130,7 @@ pub fn write_dataset_rows<W: Write>(w: &mut W, rows: &[DatasetRow]) -> io::Resul
             w,
             "{}\t{}\t{}\t{:.6}\t{:.4}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
             r.block_id,
-            class_str(r.class),
+            r.class.letter(),
             opt(r.phase),
             r.mean_a,
             r.strongest_cpd,
@@ -362,7 +345,8 @@ pub fn read_dataset<R: BufRead>(r: R) -> Result<Vec<DatasetRow>, ParseError> {
         }
         rows.push(DatasetRow {
             block_id: parse_num(fields[0])?,
-            class: class_from(fields[1])?,
+            class: DiurnalClass::from_letter(fields[1])
+                .ok_or_else(|| ParseError::BadField(format!("unknown class {:?}", fields[1])))?,
             phase: parse_opt_f64(fields[2])?,
             mean_a: parse_num(fields[3])?,
             strongest_cpd: parse_num(fields[4])?,

@@ -617,13 +617,7 @@ pub fn ingest_world(
     cfg: &AnalysisConfig,
     icfg: &IngestConfig,
 ) -> IngestOutcome {
-    let ids: Vec<u64> = (0..source.len() as u64).collect();
-    let mut fed_quarantines = Vec::new();
-    let mut out = run_engine(source, cfg, icfg, None, Vec::new(), |router| {
-        feed_world(source, cfg, icfg, &ids, router, &mut fed_quarantines);
-    });
-    merge_feed_quarantines(&mut out, fed_quarantines);
-    out
+    ingest_world_with(source, cfg, icfg, None).expect("an ingest without a journal cannot fail")
 }
 
 /// [`ingest_world`] with a crash-safe checkpoint journal at `path` —
@@ -638,15 +632,36 @@ pub fn ingest_world_resumable(
     icfg: &IngestConfig,
     path: &Path,
 ) -> Result<IngestOutcome, JournalError> {
-    let n = source.len();
-    let (writer, skip, kept) = open_journal(path, source.cfg().seed, n, cfg)?;
-    let ids: Vec<u64> = (0..n as u64).filter(|&id| !skip[id as usize]).collect();
+    ingest_world_with(source, cfg, icfg, Some(path))
+}
+
+/// The one body of [`ingest_world`] and [`ingest_world_resumable`]:
+/// probes and streams every block the journal (if any) does not already
+/// hold.
+fn ingest_world_with(
+    source: &WorldSource,
+    cfg: &AnalysisConfig,
+    icfg: &IngestConfig,
+    journal: Option<&Path>,
+) -> Result<IngestOutcome, JournalError> {
+    let (writer, skip, kept) = match journal {
+        Some(path) => open_journal(path, source.cfg().seed, source.len(), cfg)
+            .map(|(writer, skip, kept)| (Some(writer), skip, kept))?,
+        None => (None, Vec::new(), Vec::new()),
+    };
+    let ids: Vec<u64> = (0..source.len() as u64).filter(|&id| !skipped(&skip, id)).collect();
     let mut fed_quarantines = Vec::new();
-    let mut out = run_engine(source, cfg, icfg, Some(writer), kept, |router| {
+    let mut out = run_engine(source, cfg, icfg, writer, kept, |router| {
         feed_world(source, cfg, icfg, &ids, router, &mut fed_quarantines);
     });
     merge_feed_quarantines(&mut out, fed_quarantines);
     Ok(out)
+}
+
+/// Whether the skip mask marks block `id` as already journaled. An empty
+/// mask (no journal) skips nothing.
+fn skipped(skip: &[bool], id: u64) -> bool {
+    skip.get(id as usize).copied().unwrap_or(false)
 }
 
 /// Ingests a caller-supplied event feed — the entry point equivalence
@@ -743,18 +758,8 @@ pub fn ingest_source(
     icfg: &IngestConfig,
     events: &mut dyn sleepwatch_probing::transport::EventSource,
 ) -> TransportOutcome {
-    let mut error = None;
-    let outcome = run_engine(source, cfg, icfg, None, Vec::new(), |router| loop {
-        match events.next_event() {
-            Ok(Some(ev)) => router.route(ev),
-            Ok(None) => break,
-            Err(e) => {
-                error = Some(e);
-                break;
-            }
-        }
-    });
-    TransportOutcome { outcome, transport: events.stats(), error }
+    ingest_source_with(source, cfg, icfg, events, None)
+        .expect("an ingest without a journal cannot fail")
 }
 
 /// [`ingest_source`] with the crash-safe checkpoint journal: blocks
@@ -770,14 +775,29 @@ pub fn ingest_source_resumable(
     events: &mut dyn sleepwatch_probing::transport::EventSource,
     path: &Path,
 ) -> Result<TransportOutcome, JournalError> {
-    let n = source.len();
-    let (writer, skip, kept) = open_journal(path, source.cfg().seed, n, cfg)?;
+    ingest_source_with(source, cfg, icfg, events, Some(path))
+}
+
+/// The one body of [`ingest_source`] and [`ingest_source_resumable`]:
+/// routes every arriving event whose block the journal (if any) does not
+/// already hold.
+fn ingest_source_with(
+    source: &WorldSource,
+    cfg: &AnalysisConfig,
+    icfg: &IngestConfig,
+    events: &mut dyn sleepwatch_probing::transport::EventSource,
+    journal: Option<&Path>,
+) -> Result<TransportOutcome, JournalError> {
+    let (writer, skip, kept) = match journal {
+        Some(path) => open_journal(path, source.cfg().seed, source.len(), cfg)
+            .map(|(writer, skip, kept)| (Some(writer), skip, kept))?,
+        None => (None, Vec::new(), Vec::new()),
+    };
     let mut error = None;
-    let outcome = run_engine(source, cfg, icfg, Some(writer), kept, |router| loop {
+    let outcome = run_engine(source, cfg, icfg, writer, kept, |router| loop {
         match events.next_event() {
             Ok(Some(ev)) => {
-                let id = ev.block_id() as usize;
-                if id >= skip.len() || !skip[id] {
+                if !skipped(&skip, ev.block_id()) {
                     router.route(ev);
                 }
             }

@@ -14,14 +14,16 @@
 //! frame closed by a CRC32 over its body):
 //!
 //! * **v1** (`SLPWJNL1`): a 48-byte header followed by fixed-width
-//!   84-byte records. Kept fully readable and appendable — an existing v1
-//!   journal keeps being continued as v1 on resume.
+//!   84-byte records. Read-only: [`replay`] still reads it, and
+//!   [`open_resume`] upgrades a v1 journal to v2 before appending.
+//!   [`encode_header`] and [`encode_record`] remain as the fixture writer
+//!   for read-compatibility tests.
 //! * **v2** (`SLPWJNL2`): the shared 64-byte [`crate::framing::Prelude`]
 //!   plus an embedded dictionary section (country codes and link-class
 //!   keywords, the same tables [`crate::binfmt`] uses), followed by
 //!   variable-width records that drop absent fields (phase, location)
-//!   instead of zero-filling them — ~30% smaller in practice. New
-//!   journals are written as v2.
+//!   instead of zero-filling them — ~30% smaller in practice. Every
+//!   journal is written as v2.
 //!
 //! ```text
 //! v1 header  (48 B): magic u64 | world_seed u64 | num_blocks u64 |
@@ -59,7 +61,7 @@ use sleepwatch_linktype::LinkFeature;
 use sleepwatch_spectral::DiurnalClass;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Seek, SeekFrom, Write};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 pub use crate::framing::crc32;
 
@@ -132,15 +134,6 @@ impl JournalHeader {
     }
 }
 
-/// Record codec a journal file uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JournalVersion {
-    /// Fixed-width 84-byte records behind the 48-byte v1 header.
-    V1,
-    /// Variable-width records behind the shared prelude + dictionary.
-    V2,
-}
-
 /// Errors from opening or resuming a journal.
 #[derive(Debug)]
 pub enum JournalError {
@@ -181,7 +174,9 @@ impl From<io::Error> for JournalError {
     }
 }
 
-/// Encodes the v1 header frame.
+/// Encodes the v1 header frame. v1 is read-only: this and
+/// [`encode_record`] write fixtures for read-compatibility tests, and no
+/// journal this crate opens is appended to as v1.
 pub fn encode_header(h: &JournalHeader) -> [u8; HEADER_LEN] {
     let mut buf = [0u8; HEADER_LEN];
     buf[0..8].copy_from_slice(&FILE_MAGIC.to_le_bytes());
@@ -223,21 +218,16 @@ pub fn decode_header(bytes: &[u8]) -> Option<JournalHeader> {
     })
 }
 
-/// Encodes one completed block as a v1 record. Returns `None` for the
-/// (defensively handled, practically unreachable) case of a report the
-/// fixed-width frame cannot represent faithfully — e.g. a located country
-/// code absent from the country table. Such blocks are simply not
-/// journaled and are re-analyzed on resume.
+/// Encodes one completed block as a v1 record (a test fixture, like
+/// [`encode_header`]). Returns `None` for the (defensively handled,
+/// practically unreachable) case of a report the fixed-width frame cannot
+/// represent faithfully — e.g. a located country code absent from the
+/// country table.
 pub fn encode_record(r: &WorldBlockReport) -> Option<[u8; RECORD_LEN]> {
     let mut flags = 0u16;
     let mut buf = [0u8; RECORD_LEN];
     buf[0..4].copy_from_slice(&REC_MAGIC.to_le_bytes());
-    let class = match r.summary.class {
-        DiurnalClass::Strict => 0u8,
-        DiurnalClass::Relaxed => 1,
-        DiurnalClass::NonDiurnal => 2,
-    };
-    buf[6] = class;
+    buf[6] = r.summary.class.code();
     buf[7] = match r.region {
         Some(region) => {
             flags |= FLAG_REGION;
@@ -278,11 +268,7 @@ pub fn encode_record(r: &WorldBlockReport) -> Option<[u8; RECORD_LEN]> {
     if r.planted_diurnal {
         flags |= FLAG_PLANTED;
     }
-    let mut mask = 0u16;
-    for f in &r.link_features {
-        mask |= 1 << f.index();
-    }
-    buf[78..80].copy_from_slice(&mask.to_le_bytes());
+    buf[78..80].copy_from_slice(&LinkFeature::mask(&r.link_features).to_le_bytes());
     buf[4..6].copy_from_slice(&flags.to_le_bytes());
     let crc = crc32(&buf[0..80]);
     buf[80..84].copy_from_slice(&crc.to_le_bytes());
@@ -308,12 +294,7 @@ pub fn decode_record(bytes: &[u8]) -> Option<WorldBlockReport> {
     if flags & !FLAG_ALL != 0 || b[77] != 0 {
         return None;
     }
-    let class = match b[6] {
-        0 => DiurnalClass::Strict,
-        1 => DiurnalClass::Relaxed,
-        2 => DiurnalClass::NonDiurnal,
-        _ => return None,
-    };
+    let class = DiurnalClass::from_code(b[6])?;
     let region = if flags & FLAG_REGION != 0 {
         Some(*Region::ALL.get(b[7] as usize)?)
     } else {
@@ -355,13 +336,6 @@ pub fn decode_record(bytes: &[u8]) -> Option<WorldBlockReport> {
     if !(1..=12).contains(&month) {
         return None;
     }
-    let mask = le_u16(&b[78..80]);
-    let mut link_features = Vec::new();
-    for (i, &f) in LinkFeature::ALL.iter().enumerate() {
-        if mask & (1 << i) != 0 {
-            link_features.push(f);
-        }
-    }
     Some(WorldBlockReport {
         summary: crate::analyze::BlockSummary {
             block_id: le_u64(&b[8..16]),
@@ -376,7 +350,7 @@ pub fn decode_record(bytes: &[u8]) -> Option<WorldBlockReport> {
         location,
         region,
         alloc_date: YearMonth::new(le_u16(&b[74..76]), month),
-        link_features,
+        link_features: LinkFeature::from_mask(le_u16(&b[78..80])).collect(),
         asn: le_u32(&b[44..48]),
         planted_diurnal: flags & FLAG_PLANTED != 0,
     })
@@ -456,17 +430,13 @@ fn record_v2_len(has_phase: bool, located: bool) -> usize {
 /// Encodes one completed block as a v2 record. `None` when the report
 /// does not fit the frame (block id or probe count beyond 32 bits,
 /// outages beyond 16, or a country absent from the table) — such blocks
-/// are skipped and re-analyzed on resume, exactly like v1.
+/// are skipped and re-analyzed on resume.
 pub fn encode_record_v2(r: &WorldBlockReport) -> Option<Vec<u8>> {
     let id = u32::try_from(r.summary.block_id).ok()?;
     let probes = u32::try_from(r.summary.total_probes).ok()?;
     let outages = u16::try_from(r.summary.outages).ok()?;
     let mut flags = 0u16;
-    let mut cr = match r.summary.class {
-        DiurnalClass::Strict => 0u8,
-        DiurnalClass::Relaxed => 1,
-        DiurnalClass::NonDiurnal => 2,
-    };
+    let mut cr = r.summary.class.code();
     if let Some(region) = r.region {
         flags |= FLAG_REGION;
         cr |= (Region::ALL.iter().position(|&x| x == region)? as u8) << 2;
@@ -490,10 +460,6 @@ pub fn encode_record_v2(r: &WorldBlockReport) -> Option<Vec<u8>> {
         }
         None => None,
     };
-    let mut mask = 0u16;
-    for f in &r.link_features {
-        mask |= 1 << f.index();
-    }
     let mut buf =
         Vec::with_capacity(record_v2_len(r.summary.phase.is_some(), r.location.is_some()));
     buf.push(flags as u8);
@@ -506,7 +472,7 @@ pub fn encode_record_v2(r: &WorldBlockReport) -> Option<Vec<u8>> {
     buf.extend_from_slice(&r.asn.to_le_bytes());
     buf.extend_from_slice(&r.alloc_date.year.to_le_bytes());
     buf.push(r.alloc_date.month);
-    buf.extend_from_slice(&mask.to_le_bytes());
+    buf.extend_from_slice(&LinkFeature::mask(&r.link_features).to_le_bytes());
     debug_assert_eq!(buf.len(), RECORD_V2_FIXED);
     if let Some(phase) = r.summary.phase {
         buf.extend_from_slice(&phase.to_bits().to_le_bytes());
@@ -544,12 +510,7 @@ pub fn decode_record_v2(bytes: &[u8]) -> Option<(WorldBlockReport, usize)> {
     if cr >> 6 != 0 {
         return None;
     }
-    let class = match cr & 0x3 {
-        0 => DiurnalClass::Strict,
-        1 => DiurnalClass::Relaxed,
-        2 => DiurnalClass::NonDiurnal,
-        _ => return None,
-    };
+    let class = DiurnalClass::from_code(cr & 0x3)?;
     let region_idx = (cr >> 2) & 0xF;
     let region = if flags & FLAG_REGION != 0 {
         Some(*Region::ALL.get(region_idx as usize)?)
@@ -565,13 +526,6 @@ pub fn decode_record_v2(bytes: &[u8]) -> Option<(WorldBlockReport, usize)> {
     let month = b[34];
     if !(1..=12).contains(&month) {
         return None;
-    }
-    let mask = le_u16(&b[35..37]);
-    let mut link_features = Vec::new();
-    for (i, &f) in LinkFeature::ALL.iter().enumerate() {
-        if mask & (1 << i) != 0 {
-            link_features.push(f);
-        }
     }
     let mut at = RECORD_V2_FIXED;
     let phase = if flags & FLAG_PHASE != 0 {
@@ -608,7 +562,7 @@ pub fn decode_record_v2(bytes: &[u8]) -> Option<(WorldBlockReport, usize)> {
         location,
         region,
         alloc_date: YearMonth::new(le_u16(&b[32..34]), month),
-        link_features,
+        link_features: LinkFeature::from_mask(le_u16(&b[35..37])).collect(),
         asn: le_u32(&b[28..32]),
         planted_diurnal: flags & FLAG_PLANTED != 0,
     };
@@ -618,8 +572,8 @@ pub fn decode_record_v2(bytes: &[u8]) -> Option<(WorldBlockReport, usize)> {
 /// Outcome of replaying a journal file's bytes.
 #[derive(Debug)]
 pub enum ReplayOutcome {
-    /// No usable prefix (empty file, or damage starting in the header):
-    /// the journal must be rewritten from scratch.
+    /// No usable prefix (damage starting in the header): the journal must
+    /// be rewritten from scratch.
     Fresh {
         /// Whole-or-partial record frames dropped with the damage
         /// (counted in minimum-record units for v2, so an upper bound).
@@ -642,39 +596,6 @@ pub enum ReplayOutcome {
     },
 }
 
-/// Replays v1 journal `bytes` against the run identity `expect`. Total —
-/// never panics, whatever the input. Replay stops at the first damaged
-/// frame and reports everything before it; the damaged suffix (counted in
-/// whole-record units, rounded up) is discarded.
-pub fn replay_bytes(bytes: &[u8], expect: &JournalHeader) -> ReplayOutcome {
-    let frames = |len: usize| len.div_ceil(RECORD_LEN) as u64;
-    if bytes.is_empty() {
-        return ReplayOutcome::Fresh { discarded: 0 };
-    }
-    let header = match decode_header(bytes) {
-        Some(h) => h,
-        // Damage inside the header poisons everything after it.
-        None => return ReplayOutcome::Fresh { discarded: frames(bytes.len()) },
-    };
-    if header != *expect {
-        return ReplayOutcome::HeaderMismatch { found: header };
-    }
-    let mut reports = Vec::new();
-    let mut offset = HEADER_LEN;
-    while offset + RECORD_LEN <= bytes.len() {
-        match decode_record(&bytes[offset..offset + RECORD_LEN]) {
-            Some(r) => reports.push(r),
-            None => break,
-        }
-        offset += RECORD_LEN;
-    }
-    ReplayOutcome::Resumed {
-        reports,
-        valid_len: offset as u64,
-        discarded: frames(bytes.len() - offset),
-    }
-}
-
 /// Whether a [`DecodeError`] means "a real file from an incompatible
 /// writer" (refuse) rather than "corruption" (heal by rewriting).
 fn is_incompatible(e: &DecodeError) -> bool {
@@ -682,41 +603,123 @@ fn is_incompatible(e: &DecodeError) -> bool {
         e,
         DecodeError::EndianMismatch
             | DecodeError::UnsupportedVersion { .. }
-            | DecodeError::BadMagic { .. }
             | DecodeError::BadKind { .. }
             | DecodeError::BadMode { .. }
             | DecodeError::DictMismatch { .. }
     )
 }
 
-/// Replays v2 journal `bytes` against the run identity `expect`. Returns
-/// `Err` only for files this build must refuse (byte-swapped, future
-/// version, foreign dictionary); corruption — a damaged prelude or
-/// dictionary — degrades to [`ReplayOutcome::Fresh`] exactly like v1.
-pub fn replay_bytes_v2(bytes: &[u8], expect: &JournalHeader) -> Result<ReplayOutcome, DecodeError> {
-    let frames = |len: usize| len.div_ceil(RECORD_V2_MIN) as u64;
-    if bytes.is_empty() {
-        return Ok(ReplayOutcome::Fresh { discarded: 0 });
+/// The record codec a journal's magic selects. Both are read; only v2 is
+/// ever written.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Codec {
+    V1,
+    V2,
+}
+
+impl Codec {
+    /// Sniffs which journal `bytes` hold: the one place the journal
+    /// magics are matched. Either magic byte-swapped is `EndianMismatch`,
+    /// any other `SLPWJNL<n>` is `UnsupportedVersion`, and anything else
+    /// is `BadMagic` (input too short to hold a magic reports `found: 0`).
+    fn sniff(bytes: &[u8]) -> Result<Codec, DecodeError> {
+        match sniff_magic(bytes).unwrap_or(0) {
+            FILE_MAGIC => Ok(Codec::V1),
+            FILE_MAGIC_V2 => Ok(Codec::V2),
+            m if m == FILE_MAGIC.swap_bytes() || m == FILE_MAGIC_V2.swap_bytes() => {
+                Err(DecodeError::EndianMismatch)
+            }
+            m if m & MAGIC_FAMILY_MASK == MAGIC_FAMILY => {
+                let digit = (m & 0xFF) as u8;
+                let found =
+                    if digit.is_ascii_digit() { (digit - b'0') as u16 } else { digit as u16 };
+                Err(DecodeError::UnsupportedVersion { found, supported: JOURNAL_VERSION })
+            }
+            found => Err(DecodeError::BadMagic { found }),
+        }
     }
-    let (header, header_len) = match decode_header_v2(bytes) {
-        Ok(h) => h,
-        Err(e) if is_incompatible(&e) => return Err(e),
-        Err(_) => return Ok(ReplayOutcome::Fresh { discarded: frames(bytes.len()) }),
+
+    /// The unit a damaged suffix is counted in: whole v1 records, or
+    /// minimum-size v2 records.
+    fn frame_len(self) -> usize {
+        match self {
+            Codec::V1 => RECORD_LEN,
+            Codec::V2 => RECORD_V2_MIN,
+        }
+    }
+
+    /// Decodes the header into the run identity and the header's byte
+    /// length. `Ok(None)` for a damaged header (the journal is rewritten);
+    /// `Err` for a header this build must refuse.
+    fn header(self, bytes: &[u8]) -> Result<Option<(JournalHeader, usize)>, DecodeError> {
+        match self {
+            Codec::V1 => Ok(decode_header(bytes).map(|h| (h, HEADER_LEN))),
+            Codec::V2 => match decode_header_v2(bytes) {
+                Ok(h) => Ok(Some(h)),
+                Err(e) if is_incompatible(&e) => Err(e),
+                Err(_) => Ok(None),
+            },
+        }
+    }
+
+    /// The intact records after a `header_len`-byte header, each with the
+    /// byte offset its frame ends at. Stops at the first damaged frame.
+    fn records(
+        self,
+        bytes: &[u8],
+        header_len: usize,
+    ) -> impl Iterator<Item = (WorldBlockReport, usize)> + '_ {
+        let mut end = header_len;
+        std::iter::from_fn(move || {
+            let (report, len) = match self {
+                Codec::V1 => (decode_record(&bytes[end..])?, RECORD_LEN),
+                Codec::V2 => decode_record_v2(&bytes[end..])?,
+            };
+            end += len;
+            Some((report, end))
+        })
+    }
+}
+
+/// Replays journal `bytes` of either version against the run identity
+/// `expect`. Total — never panics, whatever the input. Replay stops at the
+/// first damaged frame and reports everything before it; the damaged
+/// suffix is discarded (counted in whole v1 records or minimum-size v2
+/// records, rounded up). A damaged header degrades to
+/// [`ReplayOutcome::Fresh`].
+///
+/// Errors are the files no replay applies to: `BadMagic` when `bytes`
+/// hold no journal at all, and — the same [`DecodeError`] kinds the
+/// dataset decoder reports — `EndianMismatch` for a byte-swapped journal,
+/// `UnsupportedVersion` for a future one, and the prelude or dictionary
+/// kinds for a v2 header written by an incompatible build.
+pub fn replay(bytes: &[u8], expect: &JournalHeader) -> Result<ReplayOutcome, DecodeError> {
+    replay_as(bytes, expect).map(|(_, outcome)| outcome)
+}
+
+/// [`replay`], also naming the codec the bytes were read with.
+fn replay_as(bytes: &[u8], expect: &JournalHeader) -> Result<(Codec, ReplayOutcome), DecodeError> {
+    let codec = Codec::sniff(bytes)?;
+    let frames = |len: usize| len.div_ceil(codec.frame_len()) as u64;
+    let outcome = match codec.header(bytes)? {
+        // Damage inside the header poisons everything after it.
+        None => ReplayOutcome::Fresh { discarded: frames(bytes.len()) },
+        Some((found, _)) if found != *expect => ReplayOutcome::HeaderMismatch { found },
+        Some((_, header_len)) => {
+            let mut reports = Vec::new();
+            let mut valid_len = header_len;
+            for (report, end) in codec.records(bytes, header_len) {
+                reports.push(report);
+                valid_len = end;
+            }
+            ReplayOutcome::Resumed {
+                reports,
+                valid_len: valid_len as u64,
+                discarded: frames(bytes.len() - valid_len),
+            }
+        }
     };
-    if header != *expect {
-        return Ok(ReplayOutcome::HeaderMismatch { found: header });
-    }
-    let mut reports = Vec::new();
-    let mut offset = header_len;
-    while let Some((r, len)) = decode_record_v2(&bytes[offset..]) {
-        reports.push(r);
-        offset += len;
-    }
-    Ok(ReplayOutcome::Resumed {
-        reports,
-        valid_len: offset as u64,
-        discarded: frames(bytes.len() - offset),
-    })
+    Ok((codec, outcome))
 }
 
 /// Byte offsets of the record boundaries in a journal's valid prefix:
@@ -726,72 +729,35 @@ pub fn replay_bytes_v2(bytes: &[u8], expect: &JournalHeader) -> Result<ReplayOut
 /// need to sever or patch a journal at precise frame boundaries without
 /// hard-coding a record width.
 pub fn record_boundaries(bytes: &[u8]) -> Vec<usize> {
-    match sniff_magic(bytes) {
-        Some(FILE_MAGIC) => {
-            if decode_header(bytes).is_none() {
-                return Vec::new();
-            }
-            let mut out = vec![HEADER_LEN];
-            let mut offset = HEADER_LEN;
-            while offset + RECORD_LEN <= bytes.len()
-                && decode_record(&bytes[offset..offset + RECORD_LEN]).is_some()
-            {
-                offset += RECORD_LEN;
-                out.push(offset);
-            }
-            out
-        }
-        Some(FILE_MAGIC_V2) => {
-            let Ok((_, header_len)) = decode_header_v2(bytes) else {
-                return Vec::new();
-            };
-            let mut out = vec![header_len];
-            let mut offset = header_len;
-            while let Some((_, len)) = decode_record_v2(&bytes[offset..]) {
-                offset += len;
-                out.push(offset);
-            }
-            out
-        }
-        _ => Vec::new(),
-    }
+    let Ok(codec) = Codec::sniff(bytes) else {
+        return Vec::new();
+    };
+    let Ok(Some((_, header_len))) = codec.header(bytes) else {
+        return Vec::new();
+    };
+    std::iter::once(header_len)
+        .chain(codec.records(bytes, header_len).map(|(_, end)| end))
+        .collect()
 }
 
-/// Append handle for a journal file positioned at the end of its valid
+/// Append handle for a v2 journal file positioned at the end of its valid
 /// prefix. Records are `fsync`'d every [`SYNC_EVERY`] appends and on
 /// [`sync`](Self::sync).
 #[derive(Debug)]
 pub struct JournalWriter {
     file: File,
     unsynced: u32,
-    version: JournalVersion,
 }
 
 impl JournalWriter {
-    /// The record codec this writer appends with (the version of the
-    /// file it continues).
-    pub fn version(&self) -> JournalVersion {
-        self.version
-    }
-
     /// Appends one completed block. Returns `Ok(false)` when the report
     /// cannot be represented in the frame (the block is skipped, not
-    /// corrupted — see [`encode_record`] / [`encode_record_v2`]).
+    /// corrupted — see [`encode_record_v2`]).
     pub fn append(&mut self, report: &WorldBlockReport) -> io::Result<bool> {
-        match self.version {
-            JournalVersion::V1 => {
-                let Some(frame) = encode_record(report) else {
-                    return Ok(false);
-                };
-                self.file.write_all(&frame)?;
-            }
-            JournalVersion::V2 => {
-                let Some(frame) = encode_record_v2(report) else {
-                    return Ok(false);
-                };
-                self.file.write_all(&frame)?;
-            }
-        }
+        let Some(frame) = encode_record_v2(report) else {
+            return Ok(false);
+        };
+        self.file.write_all(&frame)?;
         self.unsynced += 1;
         if self.unsynced >= SYNC_EVERY {
             self.file.sync_data()?;
@@ -822,12 +788,14 @@ pub struct ReplayStats {
 /// tail, and returns a writer positioned for appending plus the recovered
 /// reports.
 ///
-/// Both format versions are continued in place (a v1 journal keeps
-/// growing as v1); fresh or rewritten journals are created as v2. Errors
-/// only on IO failure, a well-formed header from a different run, or a
-/// file this build must refuse outright (byte-swapped, future version,
-/// foreign dictionary) — corruption never errors, it only shrinks the
-/// prefix.
+/// Every journal is appended to as v2. A v1 journal is read-only: its
+/// valid prefix is upgraded to v2 in place before the writer is returned
+/// (through a `.v2-upgrade` sibling that is renamed over `path`), and the
+/// reports and [`ReplayStats`] are the v1 replay's. Fresh journals, and
+/// files holding no journal at all, are (re)written as v2. Errors only on
+/// IO failure, a well-formed header from a different run, or a file this
+/// build must refuse outright (byte-swapped, future version, foreign
+/// dictionary) — corruption never errors, it only shrinks the prefix.
 pub fn open_resume(
     path: &Path,
     header: &JournalHeader,
@@ -837,70 +805,85 @@ pub fn open_resume(
         Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
         Err(e) => return Err(e.into()),
     };
-    let mismatch_err = |found: JournalHeader| {
-        let mismatch = check_identity(&header.identity(), &found.identity())
-            .expect_err("mismatching headers must differ in an identity field");
-        JournalError::HeaderMismatch { expected: *header, found, mismatch }
-    };
-    let outcome = match sniff_magic(&bytes) {
-        Some(FILE_MAGIC) => match replay_bytes(&bytes, header) {
-            ReplayOutcome::HeaderMismatch { found } => return Err(mismatch_err(found)),
-            ReplayOutcome::Fresh { discarded } => {
-                (Vec::new(), 0u64, ReplayStats { replayed: 0, discarded }, JournalVersion::V2)
-            }
-            ReplayOutcome::Resumed { reports, valid_len, discarded } => {
-                let stats = ReplayStats { replayed: reports.len() as u64, discarded };
-                (reports, valid_len, stats, JournalVersion::V1)
-            }
-        },
-        Some(FILE_MAGIC_V2) => {
-            match replay_bytes_v2(&bytes, header).map_err(JournalError::Incompatible)? {
-                ReplayOutcome::HeaderMismatch { found } => return Err(mismatch_err(found)),
-                ReplayOutcome::Fresh { discarded } => {
-                    (Vec::new(), 0u64, ReplayStats { replayed: 0, discarded }, JournalVersion::V2)
-                }
-                ReplayOutcome::Resumed { reports, valid_len, discarded } => {
-                    let stats = ReplayStats { replayed: reports.len() as u64, discarded };
-                    (reports, valid_len, stats, JournalVersion::V2)
-                }
-            }
-        }
-        Some(m) if m == FILE_MAGIC.swap_bytes() || m == FILE_MAGIC_V2.swap_bytes() => {
-            return Err(JournalError::Incompatible(DecodeError::EndianMismatch));
-        }
-        Some(m) if m & MAGIC_FAMILY_MASK == MAGIC_FAMILY => {
-            let digit = (m & 0xFF) as u8;
-            let found = if digit.is_ascii_digit() { (digit - b'0') as u16 } else { digit as u16 };
-            return Err(JournalError::Incompatible(DecodeError::UnsupportedVersion {
-                found,
-                supported: JOURNAL_VERSION,
-            }));
-        }
+    let (codec, outcome) = match replay_as(&bytes, header) {
+        Ok(replayed) => replayed,
         // Garbage (or a short/empty file): rewrite from scratch.
-        _ => {
+        Err(DecodeError::BadMagic { .. }) => {
             let discarded = bytes.len().div_ceil(RECORD_V2_MIN) as u64;
-            (Vec::new(), 0u64, ReplayStats { replayed: 0, discarded }, JournalVersion::V2)
+            (Codec::V2, ReplayOutcome::Fresh { discarded })
+        }
+        Err(e) => return Err(JournalError::Incompatible(e)),
+    };
+    let (reports, valid_len, stats) = match outcome {
+        ReplayOutcome::HeaderMismatch { found } => {
+            let mismatch = check_identity(&header.identity(), &found.identity())
+                .expect_err("mismatching headers must differ in an identity field");
+            return Err(JournalError::HeaderMismatch { expected: *header, found, mismatch });
+        }
+        ReplayOutcome::Fresh { discarded } => {
+            (Vec::new(), 0, ReplayStats { replayed: 0, discarded })
+        }
+        ReplayOutcome::Resumed { reports, valid_len, discarded } => {
+            let stats = ReplayStats { replayed: reports.len() as u64, discarded };
+            (reports, valid_len, stats)
         }
     };
-    let (reports, valid_len, stats, version) = outcome;
-    let mut file =
-        OpenOptions::new().read(true).write(true).create(true).truncate(false).open(path)?;
-    if valid_len == 0 {
-        file.set_len(0)?;
-        file.seek(SeekFrom::Start(0))?;
-        match version {
-            JournalVersion::V1 => file.write_all(&encode_header(header))?,
-            JournalVersion::V2 => file.write_all(&encode_header_v2(header))?,
-        }
+    let file = if valid_len > 0 && codec == Codec::V1 {
+        upgrade_v1(path, header, &reports)?
     } else {
-        file.set_len(valid_len)?;
-        file.seek(SeekFrom::Start(valid_len))?;
-    }
+        let mut file =
+            OpenOptions::new().read(true).write(true).create(true).truncate(false).open(path)?;
+        if valid_len == 0 {
+            file.set_len(0)?;
+            file.seek(SeekFrom::Start(0))?;
+            file.write_all(&encode_header_v2(header))?;
+        } else {
+            file.set_len(valid_len)?;
+            file.seek(SeekFrom::Start(valid_len))?;
+        }
+        file
+    };
     file.sync_data()?;
     let obs = sleepwatch_obs::global();
     obs.resilience.journal_records_replayed.add(stats.replayed);
     obs.resilience.journal_records_discarded.add(stats.discarded);
-    Ok((JournalWriter { file, unsynced: 0, version }, reports, stats))
+    Ok((JournalWriter { file, unsynced: 0 }, reports, stats))
+}
+
+/// The temporary sibling a v1 journal at `path` is upgraded through:
+/// `path` with `.v2-upgrade` appended.
+fn upgrade_path(path: &Path) -> PathBuf {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".v2-upgrade");
+    PathBuf::from(tmp)
+}
+
+/// Re-encodes a v1 journal's valid prefix — `reports`, in replay order —
+/// as v2 and returns the new file, positioned for appending. The bytes go
+/// to the [`upgrade_path`] sibling, are synced, and only then renamed
+/// over `path`, so a crash leaves either the intact v1 file or the
+/// complete v2 one; a temporary left by an earlier crash is overwritten. A report the v2
+/// frame cannot hold is left out, as [`JournalWriter::append`] leaves it
+/// out, and a later resume re-analyzes it.
+fn upgrade_v1(
+    path: &Path,
+    header: &JournalHeader,
+    reports: &[WorldBlockReport],
+) -> io::Result<File> {
+    let mut bytes = encode_header_v2(header);
+    for frame in reports.iter().filter_map(encode_record_v2) {
+        bytes.extend_from_slice(&frame);
+    }
+    let tmp = upgrade_path(path);
+    let mut file = File::create(&tmp)?;
+    file.write_all(&bytes)?;
+    file.sync_data()?;
+    std::fs::rename(&tmp, path)?;
+    // Make the rename durable too, or a crash could bring back the v1 file
+    // and lose every record appended to the new one.
+    let dir = path.parent().filter(|d| !d.as_os_str().is_empty()).unwrap_or(Path::new("."));
+    File::open(dir)?.sync_all()?;
+    Ok(file)
 }
 
 #[cfg(test)]
@@ -1036,7 +1019,7 @@ mod tests {
         let r3 = HEADER_LEN + 3 * RECORD_LEN;
         bytes[r3 + 10] ^= 0xFF;
         bytes.truncate(HEADER_LEN + 4 * RECORD_LEN + RECORD_LEN / 2);
-        match replay_bytes(&bytes, &h) {
+        match replay(&bytes, &h).expect("v1 journal") {
             ReplayOutcome::Resumed { reports, valid_len, discarded } => {
                 assert_eq!(reports.len(), 3);
                 assert_eq!(valid_len as usize, HEADER_LEN + 3 * RECORD_LEN);
@@ -1058,7 +1041,7 @@ mod tests {
         // Corrupt record 3 and truncate record 4 in half.
         bytes[header_len + 3 * rec_len + 10] ^= 0xFF;
         bytes.truncate(header_len + 4 * rec_len + rec_len / 2);
-        match replay_bytes_v2(&bytes, &h).expect("compatible") {
+        match replay(&bytes, &h).expect("compatible") {
             ReplayOutcome::Resumed { reports, valid_len, .. } => {
                 assert_eq!(reports.len(), 3);
                 assert_eq!(valid_len as usize, header_len + 3 * rec_len);
@@ -1077,25 +1060,31 @@ mod tests {
         let other = JournalHeader { world_seed: 99, ..header() };
         let bytes = encode_header(&other);
         assert!(matches!(
-            replay_bytes(&bytes, &header()),
+            replay(&bytes, &header()).expect("v1 journal"),
             ReplayOutcome::HeaderMismatch { found } if found == other
         ));
         let v2 = encode_header_v2(&other);
         assert!(matches!(
-            replay_bytes_v2(&v2, &header()).expect("compatible"),
+            replay(&v2, &header()).expect("compatible"),
             ReplayOutcome::HeaderMismatch { found } if found == other
         ));
     }
 
     #[test]
-    fn replay_of_garbage_is_fresh() {
-        assert!(matches!(replay_bytes(&[], &header()), ReplayOutcome::Fresh { discarded: 0 }));
+    fn replay_tells_garbage_from_a_damaged_journal() {
+        assert_eq!(replay(&[], &header()).unwrap_err(), DecodeError::BadMagic { found: 0 });
         let junk = vec![0xA5u8; 200];
-        assert!(matches!(replay_bytes(&junk, &header()), ReplayOutcome::Fresh { .. }));
-        assert!(matches!(
-            replay_bytes_v2(&[], &header()),
-            Ok(ReplayOutcome::Fresh { discarded: 0 })
-        ));
+        assert!(matches!(replay(&junk, &header()), Err(DecodeError::BadMagic { .. })));
+        // A journal magic over a damaged header is a journal to rewrite.
+        // Its 208 bytes are discarded in whole v1 records or minimum v2 ones.
+        for (magic, discarded) in [(FILE_MAGIC, 3), (FILE_MAGIC_V2, 6)] {
+            let mut bytes = magic.to_le_bytes().to_vec();
+            bytes.extend_from_slice(&junk);
+            match replay(&bytes, &header()) {
+                Ok(ReplayOutcome::Fresh { discarded: got }) => assert_eq!(got, discarded),
+                other => panic!("expected fresh, got {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -1109,7 +1098,6 @@ mod tests {
             let (mut w, reports, stats) = open_resume(&path, &h).unwrap();
             assert!(reports.is_empty());
             assert_eq!(stats, ReplayStats::default());
-            assert_eq!(w.version(), JournalVersion::V2, "fresh journals are v2");
             for id in 0..4 {
                 assert!(w.append(&sample_report(id)).unwrap());
             }
@@ -1117,6 +1105,7 @@ mod tests {
         }
         // Sever mid-record and resume.
         let full = std::fs::read(&path).unwrap();
+        assert_eq!(Codec::sniff(&full), Ok(Codec::V2), "fresh journals are v2");
         let bounds = record_boundaries(&full);
         assert_eq!(bounds.len(), 5, "header + 4 records");
         assert_eq!(*bounds.last().unwrap(), full.len());
@@ -1134,25 +1123,69 @@ mod tests {
     }
 
     #[test]
-    fn open_resume_continues_v1_files_as_v1() {
+    fn open_resume_upgrades_v1_to_v2() {
         let dir = std::env::temp_dir().join(format!("swjournal-v1-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("v1.journal");
         let h = header();
-        let mut bytes = encode_header(&h).to_vec();
-        bytes.extend_from_slice(&encode_record(&sample_report(0)).unwrap());
-        std::fs::write(&path, &bytes).unwrap();
-        let (mut w, reports, _stats) = open_resume(&path, &h).unwrap();
-        assert_eq!(w.version(), JournalVersion::V1, "existing v1 journals stay v1");
-        assert_eq!(reports.len(), 1);
-        assert!(w.append(&sample_report(1)).unwrap());
+        let v1_journal = |reports: &[WorldBlockReport]| {
+            let mut bytes = encode_header(&h).to_vec();
+            for r in reports {
+                bytes.extend_from_slice(&encode_record(r).unwrap());
+            }
+            bytes
+        };
+        let v1_replay = |bytes: &[u8]| match replay(bytes, &h).unwrap() {
+            ReplayOutcome::Resumed { reports, discarded, .. } => {
+                (format!("{reports:?}"), discarded)
+            }
+            other => panic!("expected resume, got {other:?}"),
+        };
+        let v1 = v1_journal(&[sample_report(0), sample_report(1), sample_report(2)]);
+
+        // A clean v1 file, beside a stale temporary from a crashed upgrade.
+        let path = dir.join("v1.journal");
+        std::fs::write(&path, &v1).unwrap();
+        std::fs::write(upgrade_path(&path), b"half-written upgrade").unwrap();
+        let (mut w, reports, stats) = open_resume(&path, &h).unwrap();
+        assert_eq!((format!("{reports:?}"), stats.discarded), v1_replay(&v1));
+        assert_eq!(stats.replayed, 3);
+        assert!(!upgrade_path(&path).exists(), "the temporary was renamed into place");
+        assert!(w.append(&sample_report(3)).unwrap());
         w.sync().unwrap();
         drop(w);
-        let grown = std::fs::read(&path).unwrap();
-        assert_eq!(grown.len(), HEADER_LEN + 2 * RECORD_LEN, "appended record is v1-framed");
-        let (_w2, reports, _stats) = open_resume(&path, &h).unwrap();
-        assert_eq!(reports.len(), 2);
-        let _ = std::fs::remove_file(&path);
+        let upgraded = std::fs::read(&path).unwrap();
+        assert_eq!(Codec::sniff(&upgraded), Ok(Codec::V2));
+        let bounds = record_boundaries(&upgraded);
+        assert_eq!(bounds.len(), 1 + 3 + 1, "header + upgraded + appended records");
+        assert_eq!(*bounds.last().unwrap(), upgraded.len());
+        let (_w, reports, stats) = open_resume(&path, &h).unwrap();
+        assert_eq!(stats, ReplayStats { replayed: 4, discarded: 0 });
+        assert_eq!(format!("{:?}", &reports[..3]), v1_replay(&v1).0);
+
+        // A damaged tail: only the valid prefix is upgraded.
+        let torn = dir.join("v1-torn.journal");
+        let mut damaged = v1.clone();
+        damaged[HEADER_LEN + 2 * RECORD_LEN + 10] ^= 0xFF;
+        damaged.extend_from_slice(&[0xAB; RECORD_LEN / 2]);
+        std::fs::write(&torn, &damaged).unwrap();
+        let (_w, reports, stats) = open_resume(&torn, &h).unwrap();
+        assert_eq!((format!("{reports:?}"), stats.discarded), v1_replay(&damaged));
+        assert_eq!(stats, ReplayStats { replayed: 2, discarded: 2 });
+        let upgraded = std::fs::read(&torn).unwrap();
+        assert_eq!(Codec::sniff(&upgraded), Ok(Codec::V2));
+        assert_eq!(record_boundaries(&upgraded).len(), 1 + 2);
+        assert_eq!(*record_boundaries(&upgraded).last().unwrap(), upgraded.len());
+
+        // A report the v2 frame cannot hold is replayed for this run but
+        // left out of the upgraded file, so a later resume re-analyzes it.
+        let wide = dir.join("v1-wide.journal");
+        std::fs::write(&wide, v1_journal(&[sample_report(0), sample_report(1 << 40)])).unwrap();
+        let (_w, reports, stats) = open_resume(&wide, &h).unwrap();
+        assert_eq!((reports.len(), stats.replayed), (2, 2));
+        assert_eq!(reports[1].summary.block_id, 1 << 40);
+        let (_w, reports, _) = open_resume(&wide, &h).unwrap();
+        assert_eq!(reports.len(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

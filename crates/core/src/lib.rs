@@ -72,7 +72,7 @@ pub use ingest::{
     ingest_world, ingest_world_resumable, world_feed, IngestConfig, IngestOutcome, IngestStats,
     TransportOutcome,
 };
-pub use journal::{JournalError, JournalHeader, JournalVersion, ReplayStats};
+pub use journal::{JournalError, JournalHeader, ReplayStats};
 pub use serve::{
     load_rows, rows_from_dataset_bytes, rows_from_journal_bytes, ConnStats, LoadError, QueryServer,
     ServeConfig, ServeState,

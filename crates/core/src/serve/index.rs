@@ -88,11 +88,7 @@ pub fn link_body(keyword: &str, c: &GroupCounts) -> String {
 
 /// The `/v1/block/{id}` body for one row.
 pub fn block_body(r: &DatasetRow) -> String {
-    let class = match r.class {
-        DiurnalClass::Strict => "d",
-        DiurnalClass::Relaxed => "r",
-        DiurnalClass::NonDiurnal => "n",
-    };
+    let class = r.class.letter();
     let phase = r.phase.map(|p| format!("{p:.6}")).unwrap_or_else(|| "null".into());
     let country = r
         .country

@@ -80,23 +80,6 @@ pub struct DetectorSnapshot {
 const SNAPSHOT_MAGIC: u32 = 0x5357_4454; // "SWDT"
 const SNAPSHOT_VERSION: u16 = 1;
 
-fn class_tag(class: DiurnalClass) -> u8 {
-    match class {
-        DiurnalClass::Strict => 0,
-        DiurnalClass::Relaxed => 1,
-        DiurnalClass::NonDiurnal => 2,
-    }
-}
-
-fn tag_class(tag: u8) -> Option<DiurnalClass> {
-    match tag {
-        0 => Some(DiurnalClass::Strict),
-        1 => Some(DiurnalClass::Relaxed),
-        2 => Some(DiurnalClass::NonDiurnal),
-        _ => None,
-    }
-}
-
 /// Little-endian field reader over a byte slice; every accessor returns
 /// `None` past the end, so malformed input can never panic.
 struct Fields<'a> {
@@ -152,7 +135,7 @@ impl DetectorSnapshot {
         out.extend_from_slice(&(self.since_classify as u64).to_le_bytes());
         out.extend_from_slice(&self.classifications.to_le_bytes());
         out.extend_from_slice(&self.screens_skipped.to_le_bytes());
-        out.push(class_tag(self.class));
+        out.push(self.class.code());
         match self.phase {
             Some(p) => {
                 out.push(1);
@@ -163,7 +146,7 @@ impl DetectorSnapshot {
         match self.pending {
             Some((c, n)) => {
                 out.push(1);
-                out.push(class_tag(c));
+                out.push(c.code());
                 out.extend_from_slice(&n.to_le_bytes());
             }
             None => out.push(0),
@@ -203,7 +186,7 @@ impl DetectorSnapshot {
         let since_classify = usize::try_from(f.u64()?).ok()?;
         let classifications = f.u64()?;
         let screens_skipped = f.u64()?;
-        let class = tag_class(f.u8()?)?;
+        let class = DiurnalClass::from_code(f.u8()?)?;
         let phase = match f.u8()? {
             0 => None,
             1 => Some(f.f64()?),
@@ -211,7 +194,7 @@ impl DetectorSnapshot {
         };
         let pending = match f.u8()? {
             0 => None,
-            1 => Some((tag_class(f.u8()?)?, f.u32()?)),
+            1 => Some((DiurnalClass::from_code(f.u8()?)?, f.u32()?)),
             _ => return None,
         };
         let len = usize::try_from(f.u64()?).ok()?;

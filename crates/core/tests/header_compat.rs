@@ -2,15 +2,16 @@
 //! v2) and the compact dataset container share one prelude validator,
 //! so every mismatch kind — wrong magic, byte-swapped file, future
 //! version, wrong payload kind or mode, foreign run identity — must
-//! surface as the *same* typed [`DecodeError`] from every format, with
-//! the same `Display` text.
+//! surface as the *same* typed [`DecodeError`] from every format and
+//! every reader (resume and serve alike), with the same `Display` text.
 
 use sleepwatch_core::binfmt::{dataset_identity, DATASET_MAGIC, DATASET_VERSION, KIND_DATASET};
 use sleepwatch_core::framing::{crc32, Prelude, PRELUDE_LEN};
 use sleepwatch_core::journal::{decode_header_v2, encode_header_v2, open_resume, JOURNAL_VERSION};
 use sleepwatch_core::{
-    analyze_world, dataset_rows, decode_dataset, encode_dataset, AnalysisConfig, BinDataset,
-    DatasetMode, DecodeError, IdentityField, JournalError, JournalHeader,
+    analyze_world, dataset_rows, decode_dataset, encode_dataset, load_rows,
+    rows_from_journal_bytes, AnalysisConfig, BinDataset, DatasetMode, DecodeError, IdentityField,
+    JournalError, JournalHeader, LoadError,
 };
 use sleepwatch_simnet::{World, WorldConfig};
 
@@ -220,7 +221,8 @@ fn journal_v2_header_reports_the_same_mismatch_kinds() {
 }
 
 // ---------------------------------------------------------------------------
-// open_resume dispatch: refusals are typed, garbage is rewritten
+// open_resume and serve dispatch: refusals are typed, garbage is rewritten
+// (resume) or refused as an unknown format (serve)
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -238,6 +240,12 @@ fn open_resume_refuses_foreign_and_future_journals_with_typed_errors() {
         panic!("expected Incompatible, got {err:?}");
     };
     assert_eq!(inner, DecodeError::UnsupportedVersion { found: 3, supported: JOURNAL_VERSION });
+    // Serving the same file fails with the same typed error.
+    let served = rows_from_journal_bytes(&future, &header);
+    assert!(
+        matches!(served, Err(LoadError::Decode(ref e)) if *e == inner),
+        "future journal served as {served:?}"
+    );
     let _ = std::fs::remove_file(&path);
 
     // Byte-swapped magic (either version) is an endianness refusal. A
@@ -252,6 +260,11 @@ fn open_resume_refuses_foreign_and_future_journals_with_typed_errors() {
             matches!(err, JournalError::Incompatible(DecodeError::EndianMismatch)),
             "{magic}: got {err:?}"
         );
+        let served = rows_from_journal_bytes(&swapped, &header);
+        assert!(
+            matches!(served, Err(LoadError::Decode(DecodeError::EndianMismatch))),
+            "{magic}: served as {served:?}"
+        );
         let _ = std::fs::remove_file(&path);
     }
 
@@ -259,10 +272,24 @@ fn open_resume_refuses_foreign_and_future_journals_with_typed_errors() {
     // fresh (crash recovery must never wedge on a scribbled file).
     let path = scratch("garbage");
     std::fs::write(&path, b"not a journal at all").expect("write");
+    let served = rows_from_journal_bytes(b"not a journal at all", &header);
+    assert!(matches!(served, Err(LoadError::UnknownFormat)), "garbage served as {served:?}");
     let (writer, reports, _) = open_resume(&path, &header).expect("garbage is rewritten");
     assert!(reports.is_empty());
     drop(writer);
     let bytes = std::fs::read(&path).expect("rewritten journal");
     assert_eq!(bytes[..8], JOURNAL_MAGIC_V2.to_le_bytes(), "fresh journals are written as v2");
+    let _ = std::fs::remove_file(&path);
+
+    // Serving sniffs a dataset before any journal replay: an `SLPWBIN1`
+    // file goes to the dataset decoder, and replay alone calls it unknown.
+    let (cfg, dataset) = fixture();
+    let header = JournalHeader::from_identity(&dataset_identity(&cfg));
+    let path = scratch("dataset");
+    std::fs::write(&path, &dataset).expect("write");
+    let rows = load_rows(&path, Some(&cfg), &header).expect("dataset loads");
+    assert_eq!(rows, decode_dataset(&dataset, Some(&cfg)).expect("dataset decodes"));
+    let served = rows_from_journal_bytes(&dataset, &header);
+    assert!(matches!(served, Err(LoadError::UnknownFormat)), "dataset replayed as {served:?}");
     let _ = std::fs::remove_file(&path);
 }

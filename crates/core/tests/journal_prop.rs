@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use sleepwatch_core::journal::{
-    crc32, decode_header, decode_record, encode_header, encode_record, replay_bytes, JournalHeader,
+    crc32, decode_header, decode_record, encode_header, encode_record, replay, JournalHeader,
     ReplayOutcome, HEADER_LEN, RECORD_LEN,
 };
 use sleepwatch_core::{analyze_world, AnalysisConfig, WorldBlockReport};
@@ -62,17 +62,17 @@ proptest! {
         let _ = decode_header(&bytes);
     }
 
-    /// `replay_bytes` is total over arbitrary byte soup: garbage never
+    /// `replay` is total over arbitrary byte soup: garbage never
     /// resumes (a random 48-byte prefix does not spell the magic), and a
     /// `Resumed` outcome never claims more bytes than the input holds.
     #[test]
     fn replay_never_panics_on_garbage(bytes in proptest::collection::vec(0u8..=255, 0..2048)) {
-        match replay_bytes(&bytes, &header()) {
-            ReplayOutcome::Resumed { reports, valid_len, .. } => {
+        match replay(&bytes, &header()) {
+            Ok(ReplayOutcome::Resumed { reports, valid_len, .. }) => {
                 prop_assert_eq!(valid_len as usize, HEADER_LEN + reports.len() * RECORD_LEN);
                 prop_assert!(valid_len as usize <= bytes.len());
             }
-            ReplayOutcome::Fresh { .. } | ReplayOutcome::HeaderMismatch { .. } => {}
+            Ok(ReplayOutcome::Fresh { .. } | ReplayOutcome::HeaderMismatch { .. }) | Err(_) => {}
         }
     }
 
@@ -107,8 +107,8 @@ proptest! {
         let pos = HEADER_LEN + ((pos_frac * body as f64) as usize).min(body - 1);
         bytes[pos] ^= xor;
         let damaged_frame = (pos - HEADER_LEN) / RECORD_LEN;
-        match replay_bytes(&bytes, &header()) {
-            ReplayOutcome::Resumed { reports: got, discarded, .. } => {
+        match replay(&bytes, &header()) {
+            Ok(ReplayOutcome::Resumed { reports: got, discarded, .. }) => {
                 prop_assert_eq!(got.len(), damaged_frame);
                 prop_assert_eq!(discarded as usize, k - damaged_frame);
                 for (g, want) in got.iter().zip(reports()) {
@@ -125,8 +125,8 @@ proptest! {
     fn replay_of_truncation_keeps_complete_frames(k in 1usize..24, cut_frac in 0.0f64..1.0) {
         let bytes = journal_bytes(k);
         let cut = HEADER_LEN + ((cut_frac * (bytes.len() - HEADER_LEN) as f64) as usize);
-        match replay_bytes(&bytes[..cut], &header()) {
-            ReplayOutcome::Resumed { reports: got, .. } => {
+        match replay(&bytes[..cut], &header()) {
+            Ok(ReplayOutcome::Resumed { reports: got, .. }) => {
                 prop_assert_eq!(got.len(), (cut - HEADER_LEN) / RECORD_LEN);
             }
             other => prop_assert!(false, "expected Resumed, got {:?}", other),

@@ -129,6 +129,18 @@ impl LinkFeature {
     pub fn index(self) -> usize {
         Self::ALL.iter().position(|&f| f == self).expect("feature is in ALL")
     }
+
+    /// The bitmask every binary format stores for a feature list: bit
+    /// [`index`](Self::index) set for each feature.
+    pub fn mask<'a>(features: impl IntoIterator<Item = &'a LinkFeature>) -> u16 {
+        features.into_iter().fold(0, |mask, f| mask | 1 << f.index())
+    }
+
+    /// The features a [`mask`](Self::mask) names, in [`ALL`](Self::ALL)
+    /// order.
+    pub fn from_mask(mask: u16) -> impl Iterator<Item = LinkFeature> {
+        Self::ALL.into_iter().enumerate().filter(move |(i, _)| mask & (1 << i) != 0).map(|(_, f)| f)
+    }
 }
 
 impl std::fmt::Display for LinkFeature {
@@ -216,6 +228,16 @@ pub fn classify_block<'a>(names: impl IntoIterator<Item = Option<&'a str>>) -> B
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn masks_set_index_bits_and_invert_in_all_order() {
+        let features = [LinkFeature::Dsl, LinkFeature::Sta, LinkFeature::Wifi];
+        let mask = LinkFeature::mask(&features);
+        assert_eq!(mask, 1 | 1 << 7 | 1 << 15);
+        let back: Vec<_> = LinkFeature::from_mask(mask).collect();
+        assert_eq!(back, [LinkFeature::Sta, LinkFeature::Dsl, LinkFeature::Wifi]);
+        assert_eq!(LinkFeature::from_mask(0).count(), 0);
+    }
 
     fn names_of(parts: &[(&str, usize)]) -> Vec<Option<String>> {
         let mut out = Vec::new();

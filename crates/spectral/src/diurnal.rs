@@ -39,6 +39,40 @@ impl DiurnalClass {
     pub fn is_diurnal(self) -> bool {
         self != DiurnalClass::NonDiurnal
     }
+
+    /// Every class, indexed by its [`code`](Self::code).
+    pub const ALL: [DiurnalClass; 3] =
+        [DiurnalClass::Strict, DiurnalClass::Relaxed, DiurnalClass::NonDiurnal];
+
+    /// The class's numeric code (0 strict, 1 relaxed, 2 non-diurnal), the
+    /// one every binary format stores.
+    pub fn code(self) -> u8 {
+        match self {
+            DiurnalClass::Strict => 0,
+            DiurnalClass::Relaxed => 1,
+            DiurnalClass::NonDiurnal => 2,
+        }
+    }
+
+    /// Inverse of [`code`](Self::code); `None` for an unknown code.
+    pub fn from_code(code: u8) -> Option<DiurnalClass> {
+        Self::ALL.get(code as usize).copied()
+    }
+
+    /// The class's letter (`d`, `r`, `n`), the one every text format and
+    /// served body uses.
+    pub fn letter(self) -> &'static str {
+        match self {
+            DiurnalClass::Strict => "d",
+            DiurnalClass::Relaxed => "r",
+            DiurnalClass::NonDiurnal => "n",
+        }
+    }
+
+    /// Inverse of [`letter`](Self::letter); `None` for an unknown letter.
+    pub fn from_letter(letter: &str) -> Option<DiurnalClass> {
+        Self::ALL.into_iter().find(|c| c.letter() == letter)
+    }
 }
 
 /// Tunable margins of the classifier. [`DiurnalConfig::default`] matches the
@@ -230,6 +264,18 @@ mod tests {
     fn flat_series(days: usize, level: f64) -> Vec<f64> {
         let n = (days as f64 * RPD).round() as usize;
         vec![level; n]
+    }
+
+    #[test]
+    fn class_codes_and_letters_are_pinned_and_invert() {
+        let pinned = [(DiurnalClass::Strict, 0, "d"), (DiurnalClass::Relaxed, 1, "r")];
+        for (c, code, letter) in pinned.into_iter().chain([(DiurnalClass::NonDiurnal, 2, "n")]) {
+            assert_eq!((c.code(), c.letter()), (code, letter));
+            assert_eq!(DiurnalClass::from_code(code), Some(c));
+            assert_eq!(DiurnalClass::from_letter(letter), Some(c));
+        }
+        assert_eq!(DiurnalClass::from_code(3), None);
+        assert_eq!(DiurnalClass::from_letter("x"), None);
     }
 
     #[test]

@@ -8,10 +8,12 @@
 //! journal — at an exact record boundary, and mid-record (a torn write) —
 //! and resume from each severed copy. The resumed analyses must serialize
 //! to TSVs byte-identical to the uninterrupted run, at 1 and at 8 worker
-//! threads.
+//! threads. A journal left by a v1 writer must resume the same way.
 
-use sleepwatch_core::journal::record_boundaries;
-use sleepwatch_core::WorldRun;
+use sleepwatch_core::journal::{encode_header, encode_record, record_boundaries};
+use sleepwatch_core::{
+    dataset_rows, rows_from_journal_bytes, run_identity, JournalHeader, WorldRun,
+};
 use sleepwatch_probing::FaultPlan;
 use sleepwatch_testkit::resilience::{
     dataset_tsv, resilience_cfg, resilience_world, scratch_path, RESILIENCE_BLOCKS,
@@ -160,4 +162,36 @@ fn resumable_matches_plain_run() {
         .analyze(&world, &cfg)
         .expect("run");
     assert_eq!(dataset_tsv(&plain), dataset_tsv(&resumable));
+}
+
+/// A v1 journal holding the first blocks of a run resumes byte-identically:
+/// the resume upgrades it to v2, and serving the upgraded file yields the
+/// uninterrupted run's rows.
+#[test]
+fn v1_journal_resumes_identically_and_upgrades() {
+    let world = resilience_world();
+    let cfg = resilience_cfg(&world, preset("loss-light"));
+    let reference = sleepwatch_core::analyze_world(&world, &cfg, 8, None);
+    assert!(reference.quarantined.is_empty());
+
+    let header =
+        JournalHeader::from_identity(&run_identity(world.cfg.seed, RESILIENCE_BLOCKS, &cfg));
+    let mut v1 = encode_header(&header).to_vec();
+    for r in &reference.reports[..RESILIENCE_BLOCKS / 3] {
+        v1.extend_from_slice(&encode_record(r).expect("v1 encodable"));
+    }
+    let journal = scratch_path("v1-upgrade");
+    std::fs::write(&journal, &v1).expect("write v1 journal");
+
+    let resumed = WorldRun { threads: 8, journal: Some(&journal), ..WorldRun::default() }
+        .analyze(&world, &cfg)
+        .expect("resume from v1");
+    assert!(resumed.quarantined.is_empty());
+    assert_eq!(dataset_tsv(&reference), dataset_tsv(&resumed), "resume from a v1 journal diverged");
+
+    let upgraded = std::fs::read(&journal).expect("read upgraded journal");
+    assert_eq!(record_boundaries(&upgraded).len() - 1, RESILIENCE_BLOCKS);
+    assert_eq!(upgraded[..8], *b"2LNJWPLS", "the resumed journal is v2");
+    let rows = rows_from_journal_bytes(&upgraded, &header).expect("upgraded journal serves");
+    assert_eq!(rows, dataset_rows(&reference));
 }
