@@ -38,11 +38,18 @@
 //! the header CRC, the dictionary CRC *and the frame index*, so a frame
 //! spliced from a file with a different prelude or different
 //! dictionaries — or reordered within this one — fails its checksum
-//! even when the frame itself is intact. Decoding is total: [`BinDataset::parse`]
-//! validates every frame up front and any malformed input yields a typed
-//! [`DecodeError`], never a panic and never silently wrong rows.
+//! even when the frame itself is intact.
+//!
+//! Decoding is total: any malformed input yields a typed [`DecodeError`],
+//! never a panic and never silently wrong rows. One private frame walk
+//! validates and bit-decodes every frame, once, for all three readers:
+//! [`BinDataset::parse`] folds [`DatasetStats`] without materializing a
+//! row, [`decode_prefix`] emits [`DatasetRow`]s up to the first damaged
+//! frame, and [`decode_dataset`] is `decode_prefix` with the error
+//! returned. Rows are the owned [`DatasetRow`] of [`crate::export`],
+//! which also declares the print precisions the quantizer relies on.
 
-use crate::export::DatasetRow;
+use crate::export::{canon, DatasetRow, FLOAT_DECIMALS};
 use crate::framing::{
     check_identity, crc32, put_string_table, read_string_table, rice_best_k, rice_get, rice_put,
     BitReader, BitWriter, Crc32, DecodeError, Prelude, RunIdentity, RICE_MAX,
@@ -72,8 +79,10 @@ pub const MAX_FRAME_ROWS: usize = 4096;
 /// Frame header length: magic u32 | count u32 | payload_len u32 | first_id u64.
 pub const FRAME_HEADER_LEN: usize = 20;
 
-/// Quantization scale for 6-decimal TSV columns (phase, mean_a, lon, lat).
+/// Quantization scale for the 6-decimal TSV columns (phase, mean_a,
+/// lon, lat): one unit in their last printed digit.
 const SCALE6: f64 = 1e6;
+const _: () = assert!(SCALE6 as u64 == 10u64.pow(FLOAT_DECIMALS as u32));
 
 // ---------------------------------------------------------------------------
 // Encode errors
@@ -130,18 +139,8 @@ impl fmt::Display for EncodeError {
 impl std::error::Error for EncodeError {}
 
 // ---------------------------------------------------------------------------
-// Float canonicalization
+// Float quantization
 // ---------------------------------------------------------------------------
-
-/// Rounds `x` to `decimals` fractional digits exactly the way the TSV
-/// writer prints it, by formatting and re-parsing. Non-finite values are
-/// returned unchanged.
-pub fn canon(x: f64, decimals: usize) -> f64 {
-    if !x.is_finite() {
-        return x;
-    }
-    format!("{x:.decimals$}").parse().unwrap_or(x)
-}
 
 /// `x` as an integer multiple of `1/scale`, if the roundtrip
 /// `n / scale` reproduces `x` bit-for-bit. `None` means the value needs
@@ -332,10 +331,9 @@ struct Derived {
 fn derive(source: &WorldSource, id: u64) -> Derived {
     let spec = source.generate_block(id);
     let country = &COUNTRIES[spec.country_idx];
-    let location = source
-        .geodb()
-        .locate(id, country, spec.lon, spec.lat)
-        .map(|l| (canon(l.lon, 6), canon(l.lat, 6), l.country, l.centroid_fallback));
+    let location = source.geodb().locate(id, country, spec.lon, spec.lat).map(|l| {
+        (canon(l.lon, FLOAT_DECIMALS), canon(l.lat, FLOAT_DECIMALS), l.country, l.centroid_fallback)
+    });
     Derived { location, alloc: spec.alloc_date, asn: spec.asn }
 }
 
@@ -581,103 +579,12 @@ pub fn encode_dataset(rows: &[DatasetRow], mode: DatasetMode<'_>) -> Result<Vec<
 // Decoding
 // ---------------------------------------------------------------------------
 
-/// One decoded row, borrowing its strings from the file (or the static
-/// tables, in seed-joined mode) — nothing is copied until
-/// [`BinRow::to_row`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct BinRow<'a> {
-    /// Block id.
-    pub block_id: u64,
-    /// Measured diurnal class.
-    pub class: DiurnalClass,
-    /// Phase of the daily component (diurnal blocks only).
-    pub phase: Option<f64>,
-    /// Mean `Âs`.
-    pub mean_a: f64,
-    /// Strongest spectral component, cycles/day.
-    pub strongest_cpd: f64,
-    /// Stationarity screen result.
-    pub stationary: bool,
-    /// Outages detected.
-    pub outages: u32,
-    /// Probes spent.
-    pub probes: u64,
-    /// Geolocated longitude (if located).
-    pub lon: Option<f64>,
-    /// Geolocated latitude.
-    pub lat: Option<f64>,
-    /// Country code, borrowed (if located).
-    pub country: Option<&'a str>,
-    /// Country-centroid fallback flag.
-    pub centroid: bool,
-    /// /8 allocation date.
-    pub alloc: AllocDate<'a>,
-    /// Origin AS.
-    pub asn: u32,
-    /// Kept link features as a [`LinkFeature::ALL`] bitmask.
-    pub link_mask: u16,
-}
-
-/// An allocation date as the container holds it: borrowed text
-/// (self-contained files) or a parsed year-month (seed-joined files).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AllocDate<'a> {
-    /// Verbatim `YYYY-MM` text from the file's dictionary.
-    Text(&'a str),
-    /// Derived from the world seed.
-    Date(YearMonth),
-}
-
-impl fmt::Display for AllocDate<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            AllocDate::Text(s) => f.write_str(s),
-            AllocDate::Date(ym) => write!(f, "{ym}"),
-        }
-    }
-}
-
-impl BinRow<'_> {
-    /// The row's link keywords, in [`LinkFeature::ALL`] order.
-    pub fn links(&self) -> impl Iterator<Item = &'static str> {
-        LinkFeature::from_mask(self.link_mask).map(LinkFeature::keyword)
-    }
-
-    /// Materializes an owned [`DatasetRow`].
-    pub fn to_row(&self) -> DatasetRow {
-        DatasetRow {
-            block_id: self.block_id,
-            class: self.class,
-            phase: self.phase,
-            mean_a: self.mean_a,
-            strongest_cpd: self.strongest_cpd,
-            stationary: self.stationary,
-            outages: self.outages,
-            probes: self.probes,
-            lon: self.lon,
-            lat: self.lat,
-            country: self.country.map(str::to_owned),
-            centroid: self.centroid,
-            alloc: self.alloc.to_string(),
-            asn: self.asn,
-            links: self.links().map(str::to_owned).collect(),
-        }
-    }
-}
-
 /// The file's dictionaries, borrowed from the mapped bytes.
 struct Dicts<'a> {
     countries: Vec<&'a str>,
     allocs: Vec<&'a str>,
     masks: Vec<u16>,
     cpds: Vec<f64>,
-}
-
-/// Location and byte range of one validated frame.
-struct FrameMeta {
-    count: usize,
-    first_id: u64,
-    payload: std::ops::Range<usize>,
 }
 
 /// Per-frame decoded columns, reused across frames so steady-state
@@ -748,27 +655,13 @@ impl FrameScratch {
     }
 }
 
-/// A parsed, fully validated compact dataset over a borrowed byte slice
-/// (e.g. a memory map). Construction decodes every frame once — after
-/// [`parse`](BinDataset::parse) succeeds, the whole file is known good
-/// and the row accessors cannot fail structurally.
-pub struct BinDataset<'a> {
-    bytes: &'a [u8],
+/// A parsed, fully validated compact dataset: its prelude and the
+/// [`DatasetStats`] folded while [`parse`](BinDataset::parse) walked
+/// every frame. No row is materialized; [`decode_dataset`] does that.
+#[derive(Debug)]
+pub struct BinDataset {
     prelude: Prelude,
-    dicts: Dicts<'a>,
-    source: Option<WorldSource>,
-    frames: Vec<FrameMeta>,
     stats: DatasetStats,
-}
-
-impl fmt::Debug for BinDataset<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("BinDataset")
-            .field("mode", &self.prelude.mode)
-            .field("records", &self.prelude.record_count)
-            .field("frames", &self.frames.len())
-            .finish()
-    }
 }
 
 /// Parses the prelude, mode and dictionary section, returning the byte
@@ -997,147 +890,133 @@ fn decode_frame(
     Ok(())
 }
 
-/// Emits every row of the decoded frame in `s` to `f`.
-fn emit_rows<'a>(
-    dicts: &Dicts<'a>,
+/// Walks every frame of `bytes` in order — checksum, bit-decode, id
+/// monotonicity, declared record count, no trailing bytes — handing each
+/// decoded frame to `f` with the dictionaries and (seed-joined files) the
+/// world source it needs to emit rows. This is the only loop that decodes
+/// frames: [`BinDataset::parse`] folds stats with it, [`decode_prefix`]
+/// collects rows with it. Frames already handed to `f` stay handed when a
+/// later one fails; no metrics are recorded here.
+fn walk_frames<'a>(
+    bytes: &'a [u8],
+    world: Option<&WorldConfig>,
+    mut f: impl FnMut(&Dicts<'a>, Option<&WorldSource>, &FrameScratch),
+) -> Result<Prelude, DecodeError> {
+    let (prelude, dicts, source, dict_crc, mut pos) = parse_shell(bytes, world)?;
+    let header_crc = prelude.header_crc();
+    let mut decoded = 0u64;
+    let mut idx = 0usize;
+    let mut prev_last: Option<u64> = None;
+    let mut scratch = FrameScratch::default();
+    while decoded < prelude.record_count {
+        let (count, first_id, payload, next) =
+            frame_at(bytes, header_crc, dict_crc, prelude.record_count, decoded, idx, pos)?;
+        decode_frame(
+            &dicts,
+            source.is_some(),
+            prelude.identity.num_blocks,
+            idx,
+            count,
+            first_id,
+            &bytes[payload],
+            prev_last,
+            &mut scratch,
+        )?;
+        prev_last = scratch.ids.last().copied();
+        f(&dicts, source.as_ref(), &scratch);
+        decoded += count as u64;
+        pos = next;
+        idx += 1;
+    }
+    if pos != bytes.len() {
+        return Err(DecodeError::FrameCorrupt {
+            frame: idx,
+            detail: "trailing bytes after final frame",
+        });
+    }
+    Ok(prelude)
+}
+
+/// Appends every row of the decoded frame in `s` to `out`. Seed-joined
+/// files re-derive the location, allocation date and AS from `source`;
+/// self-contained files read them from the frame and dictionaries.
+fn emit_rows(
+    dicts: &Dicts<'_>,
     source: Option<&WorldSource>,
     s: &FrameScratch,
-    f: &mut impl FnMut(&BinRow<'_>),
+    out: &mut Vec<DatasetRow>,
 ) {
     let mut phase_i = 0usize;
     let mut loc_i = 0usize;
     for i in 0..s.ids.len() {
-        let phase = if s.has_phase[i] {
-            phase_i += 1;
-            Some(s.phase[phase_i - 1])
-        } else {
-            None
-        };
-        let row = if let Some(source) = source {
-            let d = derive(source, s.ids[i]);
-            let (lon, lat, country, centroid) = match d.location {
-                Some((lon, lat, country, centroid)) => {
-                    (Some(lon), Some(lat), Some(country), centroid)
-                }
-                None => (None, None, None, false),
-            };
-            BinRow {
-                block_id: s.ids[i],
-                class: s.class[i],
-                phase,
-                mean_a: s.mean_a[i],
-                strongest_cpd: s.cpd[i],
-                stationary: s.stationary[i],
-                outages: s.outages[i] as u32,
-                probes: s.probes[i],
-                lon,
-                lat,
-                country,
-                centroid,
-                alloc: AllocDate::Date(d.alloc),
-                asn: d.asn,
-                link_mask: s.masks[i],
+        let (location, alloc, asn) = match source {
+            Some(source) => {
+                let d = derive(source, s.ids[i]);
+                (d.location, d.alloc.to_string(), d.asn)
             }
-        } else {
-            let located = s.located[i];
-            let (lon, lat, country, centroid) = if located {
-                loc_i += 1;
-                let j = loc_i - 1;
-                (
-                    Some(s.lon[j]),
-                    Some(s.lat[j]),
-                    Some(dicts.countries[s.country[j] as usize]),
-                    s.centroid[j],
-                )
-            } else {
-                (None, None, None, false)
-            };
-            BinRow {
-                block_id: s.ids[i],
-                class: s.class[i],
-                phase,
-                mean_a: s.mean_a[i],
-                strongest_cpd: s.cpd[i],
-                stationary: s.stationary[i],
-                outages: s.outages[i] as u32,
-                probes: s.probes[i],
-                lon,
-                lat,
-                country,
-                centroid,
-                alloc: AllocDate::Text(dicts.allocs[s.alloc[i] as usize]),
-                asn: s.asn[i] as u32,
-                link_mask: s.masks[i],
+            None => {
+                let location = s.located[i].then(|| {
+                    loc_i += 1;
+                    let j = loc_i - 1;
+                    (s.lon[j], s.lat[j], dicts.countries[s.country[j] as usize], s.centroid[j])
+                });
+                (location, dicts.allocs[s.alloc[i] as usize].to_string(), s.asn[i] as u32)
             }
         };
-        f(&row);
+        out.push(DatasetRow {
+            block_id: s.ids[i],
+            class: s.class[i],
+            phase: s.has_phase[i].then(|| {
+                phase_i += 1;
+                s.phase[phase_i - 1]
+            }),
+            mean_a: s.mean_a[i],
+            strongest_cpd: s.cpd[i],
+            stationary: s.stationary[i],
+            outages: s.outages[i] as u32,
+            probes: s.probes[i],
+            lon: location.map(|l| l.0),
+            lat: location.map(|l| l.1),
+            country: location.map(|l| l.2.to_string()),
+            centroid: location.is_some_and(|l| l.3),
+            alloc,
+            asn,
+            links: LinkFeature::from_mask(s.masks[i]).map(|f| f.keyword().to_string()).collect(),
+        });
     }
 }
 
-impl<'a> BinDataset<'a> {
+impl BinDataset {
     /// Parses and *fully validates* `bytes`: prelude, dictionary section
     /// and every frame (checksums, column shapes, id monotonicity, bit
-    /// counts, declared record count). Seed-joined files additionally
-    /// require `world`, whose identity must match the file's.
-    pub fn parse(bytes: &'a [u8], world: Option<&WorldConfig>) -> Result<Self, DecodeError> {
-        let r = Self::parse_inner(bytes, world);
-        let obs = sleepwatch_obs::global();
-        match &r {
-            Ok(ds) => {
-                obs.format.datasets_decoded.incr();
-                obs.format.records_decoded.add(ds.prelude.record_count);
-            }
-            Err(_) => obs.format.decode_errors.incr(),
-        }
-        r
-    }
-
-    fn parse_inner(bytes: &'a [u8], world: Option<&WorldConfig>) -> Result<Self, DecodeError> {
-        let (prelude, dicts, source, dict_crc, mut pos) = parse_shell(bytes, world)?;
-        let header_crc = prelude.header_crc();
-        let mut frames = Vec::new();
-        let mut decoded = 0u64;
-        let mut prev_last: Option<u64> = None;
-        let mut scratch = FrameScratch::default();
+    /// counts, declared record count), folding [`DatasetStats`] on the
+    /// way. Seed-joined files additionally require `world`, whose
+    /// identity must match the file's.
+    pub fn parse(bytes: &[u8], world: Option<&WorldConfig>) -> Result<Self, DecodeError> {
         let mut stats = DatasetStats::default();
-        while decoded < prelude.record_count {
-            let idx = frames.len();
-            let (count, first_id, payload, next) =
-                frame_at(bytes, header_crc, dict_crc, prelude.record_count, decoded, idx, pos)?;
-            decode_frame(
-                &dicts,
-                source.is_some(),
-                prelude.identity.num_blocks,
-                idx,
-                count,
-                first_id,
-                &bytes[payload.clone()],
-                prev_last,
-                &mut scratch,
-            )?;
-            prev_last = scratch.ids.last().copied();
-            // The validation pass already decoded every column this
-            // aggregate needs, so the stats ride along for free.
-            for i in 0..count {
+        let walked = walk_frames(bytes, world, |_, _, s| {
+            for i in 0..s.ids.len() {
                 stats.accumulate(
-                    scratch.class[i],
-                    scratch.located[i],
-                    scratch.outages[i] as u32,
-                    scratch.probes[i],
-                    scratch.mean_a[i],
+                    s.class[i],
+                    s.located[i],
+                    s.outages[i] as u32,
+                    s.probes[i],
+                    s.mean_a[i],
                 );
             }
-            frames.push(FrameMeta { count, first_id, payload });
-            decoded += count as u64;
-            pos = next;
+        });
+        let obs = sleepwatch_obs::global();
+        match walked {
+            Ok(prelude) => {
+                obs.format.datasets_decoded.incr();
+                obs.format.records_decoded.add(prelude.record_count);
+                Ok(BinDataset { prelude, stats })
+            }
+            Err(e) => {
+                obs.format.decode_errors.incr();
+                Err(e)
+            }
         }
-        if pos != bytes.len() {
-            return Err(DecodeError::FrameCorrupt {
-                frame: frames.len(),
-                detail: "trailing bytes after final frame",
-            });
-        }
-        Ok(BinDataset { bytes, prelude, dicts, source, frames, stats })
     }
 
     /// Rows the file declares (and parse verified).
@@ -1154,51 +1033,23 @@ impl<'a> BinDataset<'a> {
     pub fn mode(&self) -> u8 {
         self.prelude.mode
     }
-
-    /// Checks the file against a caller-expected run identity.
-    pub fn expect_identity(&self, expected: &RunIdentity) -> Result<(), DecodeError> {
-        check_identity(expected, &self.prelude.identity)
-    }
-
-    /// Streams every row to `f` in block-id order, reusing one frame of
-    /// scratch for the whole pass — no per-row allocation, strings
-    /// borrowed from the file. Structural errors cannot occur after
-    /// [`parse`](BinDataset::parse), but the signature keeps them typed.
-    pub fn for_each_row(&self, mut f: impl FnMut(&BinRow<'_>)) -> Result<(), DecodeError> {
-        let mut scratch = FrameScratch::default();
-        let mut prev_last: Option<u64> = None;
-        for (idx, meta) in self.frames.iter().enumerate() {
-            decode_frame(
-                &self.dicts,
-                self.source.is_some(),
-                self.prelude.identity.num_blocks,
-                idx,
-                meta.count,
-                meta.first_id,
-                &self.bytes[meta.payload.clone()],
-                prev_last,
-                &mut scratch,
-            )?;
-            prev_last = scratch.ids.last().copied();
-            emit_rows(&self.dicts, self.source.as_ref(), &scratch, &mut f);
-        }
-        Ok(())
-    }
-
-    /// Materializes every row as an owned [`DatasetRow`].
-    pub fn to_rows(&self) -> Result<Vec<DatasetRow>, DecodeError> {
-        let mut rows = Vec::with_capacity(self.prelude.record_count as usize);
-        self.for_each_row(|r| rows.push(r.to_row()))?;
-        Ok(rows)
-    }
 }
 
-/// Parses and fully decodes a compact dataset into owned rows.
+/// Parses and fully decodes a compact dataset into owned rows: exactly
+/// [`decode_prefix`], with any error returned instead of the prefix.
 pub fn decode_dataset(
     bytes: &[u8],
     world: Option<&WorldConfig>,
 ) -> Result<Vec<DatasetRow>, DecodeError> {
-    BinDataset::parse(bytes, world)?.to_rows()
+    match decode_prefix(bytes, world) {
+        (_, Some(e)) => Err(e),
+        (rows, None) => {
+            let obs = sleepwatch_obs::global();
+            obs.format.datasets_decoded.incr();
+            obs.format.records_decoded.add(rows.len() as u64);
+            Ok(rows)
+        }
+    }
 }
 
 /// Best-effort decode of a possibly damaged file: every intact leading
@@ -1209,56 +1060,14 @@ pub fn decode_prefix(
     bytes: &[u8],
     world: Option<&WorldConfig>,
 ) -> (Vec<DatasetRow>, Option<DecodeError>) {
-    let (prelude, dicts, source, dict_crc, mut pos) = match parse_shell(bytes, world) {
-        Ok(shell) => shell,
+    let mut rows = Vec::new();
+    match walk_frames(bytes, world, |dicts, source, s| emit_rows(dicts, source, s, &mut rows)) {
+        Ok(_) => (rows, None),
         Err(e) => {
             sleepwatch_obs::global().format.decode_errors.incr();
-            return (Vec::new(), Some(e));
-        }
-    };
-    let header_crc = prelude.header_crc();
-    let mut rows = Vec::new();
-    let mut decoded = 0u64;
-    let mut prev_last: Option<u64> = None;
-    let mut scratch = FrameScratch::default();
-    let mut idx = 0usize;
-    while decoded < prelude.record_count {
-        let step = frame_at(bytes, header_crc, dict_crc, prelude.record_count, decoded, idx, pos)
-            .and_then(|(count, first_id, payload, next)| {
-                decode_frame(
-                    &dicts,
-                    source.is_some(),
-                    prelude.identity.num_blocks,
-                    idx,
-                    count,
-                    first_id,
-                    &bytes[payload],
-                    prev_last,
-                    &mut scratch,
-                )?;
-                Ok((count, next))
-            });
-        match step {
-            Ok((count, next)) => {
-                prev_last = scratch.ids.last().copied();
-                emit_rows(&dicts, source.as_ref(), &scratch, &mut |r| rows.push(r.to_row()));
-                decoded += count as u64;
-                pos = next;
-                idx += 1;
-            }
-            Err(e) => {
-                sleepwatch_obs::global().format.decode_errors.incr();
-                return (rows, Some(e));
-            }
+            (rows, Some(e))
         }
     }
-    if pos != bytes.len() {
-        sleepwatch_obs::global().format.decode_errors.incr();
-        let e =
-            DecodeError::FrameCorrupt { frame: idx, detail: "trailing bytes after final frame" };
-        return (rows, Some(e));
-    }
-    (rows, None)
 }
 
 // ---------------------------------------------------------------------------
@@ -1322,7 +1131,7 @@ impl DatasetStats {
     /// This is free: [`BinDataset::parse`] folds the aggregate while it
     /// validates the frames, and the stored per-row located flag means a
     /// seed-joined file never has to regenerate a block to answer it.
-    pub fn from_bin(ds: &BinDataset<'_>) -> Self {
+    pub fn from_bin(ds: &BinDataset) -> Self {
         ds.stats
     }
 }
@@ -1363,7 +1172,7 @@ mod tests {
         assert_eq!(quantize(1.0e17, SCALE6), None);
         // Values printed at 6 decimals always survive quantization.
         for x in [0.1, 1.0 / 3.0, 123.456_789_012, -7.9, 179.999_999_4] {
-            let c = canon(x, 6);
+            let c = canon(x, FLOAT_DECIMALS);
             assert!(quantize(c, SCALE6).is_some(), "canon({x}) not quantizable");
         }
     }
@@ -1389,7 +1198,7 @@ mod tests {
         let ds = BinDataset::parse(&bin, None).unwrap();
         assert_eq!(ds.mode(), MODE_SELF);
         assert_eq!(ds.record_count(), rows.len() as u64);
-        let back = ds.to_rows().unwrap();
+        let back = decode_dataset(&bin, None).unwrap();
         assert_eq!(back, rows);
         // Byte-identical TSV through the binary roundtrip.
         let mut via_bin = Vec::new();
@@ -1411,7 +1220,7 @@ mod tests {
         assert_eq!(ds.mode(), MODE_SEED_JOINED);
         assert_eq!(ds.identity(), dataset_identity(&cfg));
         let mut via_bin = Vec::new();
-        write_dataset_rows(&mut via_bin, &ds.to_rows().unwrap()).unwrap();
+        write_dataset_rows(&mut via_bin, &decode_dataset(&seed_bin, Some(&cfg)).unwrap()).unwrap();
         assert_eq!(via_bin, tsv_of(&a));
         // The TSV the binary reproduces also parses back to the same rows.
         let parsed = read_dataset(&via_bin[..]).unwrap();

@@ -1,4 +1,4 @@
-//! Dataset export/import.
+//! Dataset export/import, and the one declaration of the dataset row.
 //!
 //! The paper publishes its per-block analysis results as public datasets
 //! (§2.5: "we add new public datasets for link technology and our new
@@ -10,17 +10,67 @@
 //!
 //! Format: a `#`-prefixed header line naming the columns, then
 //! tab-separated rows. Missing values are the literal `-`.
+//!
+//! This is the home of the row schema: [`DatasetRow`] is the only row
+//! type, `COLUMNS` names its fields in TSV order, `FLOAT_DECIMALS` and
+//! `CPD_DECIMALS` are the print precisions of its float columns, and
+//! `DatasetRow::from_report` is its one join from a
+//! [`WorldBlockReport`]. Every writer and reader — TSV here, the binary
+//! container in [`crate::binfmt`], the query service's JSON in
+//! [`crate::serve`] — goes through these, so a new column touches this
+//! module and the codecs that store it, nothing else.
 
 use crate::worldrun::{WorldAnalysis, WorldBlockReport};
 use sleepwatch_spectral::DiurnalClass;
 use std::io::{self, BufRead, Write};
 use std::path::{Path, PathBuf};
 
-/// Column header written (and required on import).
-const HEADER: &str = "#block_id\tclass\tphase\tmean_a\tstrongest_cpd\tstationary\toutages\tprobes\tlon\tlat\tcountry\tcentroid\talloc\tasn\tlinks";
+/// The dataset's columns, in TSV order. The header line is these names
+/// joined by tabs behind a `#`, and every row has exactly this many
+/// fields.
+pub(crate) const COLUMNS: [&str; 15] = [
+    "block_id",
+    "class",
+    "phase",
+    "mean_a",
+    "strongest_cpd",
+    "stationary",
+    "outages",
+    "probes",
+    "lon",
+    "lat",
+    "country",
+    "centroid",
+    "alloc",
+    "asn",
+    "links",
+];
 
-/// One parsed dataset row (a deserialized [`WorldBlockReport`] without the
-/// planted ground-truth label, which is deliberately not exported).
+/// Fractional digits of every float column except `strongest_cpd`
+/// (phase, mean_a, lon, lat).
+pub(crate) const FLOAT_DECIMALS: usize = 6;
+
+/// Fractional digits of `strongest_cpd`.
+pub(crate) const CPD_DECIMALS: usize = 4;
+
+/// Rounds `x` to `decimals` fractional digits exactly the way the TSV
+/// writer prints it, by formatting and re-parsing. Non-finite values are
+/// returned unchanged.
+pub(crate) fn canon(x: f64, decimals: usize) -> f64 {
+    if !x.is_finite() {
+        return x;
+    }
+    format!("{x:.decimals$}").parse().unwrap_or(x)
+}
+
+/// The header line (without its newline), written and required on import.
+fn header() -> String {
+    format!("#{}", COLUMNS.join("\t"))
+}
+
+/// One dataset row: a [`WorldBlockReport`] without the planted
+/// ground-truth label (deliberately not exported), its floats
+/// canonicalized to the print precision.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DatasetRow {
     /// Block id.
@@ -55,96 +105,81 @@ pub struct DatasetRow {
     pub links: Vec<String>,
 }
 
-/// Writes one report row.
-fn write_row<W: Write>(w: &mut W, r: &WorldBlockReport) -> io::Result<()> {
-    let opt = |v: Option<f64>| v.map(|x| format!("{x:.6}")).unwrap_or_else(|| "-".into());
-    let links: Vec<&str> = r.link_features.iter().map(|f| f.keyword()).collect();
-    writeln!(
-        w,
-        "{}\t{}\t{}\t{:.6}\t{:.4}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
-        r.summary.block_id,
-        r.summary.class.letter(),
-        opt(r.summary.phase),
-        r.summary.mean_a,
-        r.summary.strongest_cpd,
-        if r.summary.stationary { 1 } else { 0 },
-        r.summary.outages,
-        r.summary.total_probes,
-        opt(r.location.map(|l| l.lon)),
-        opt(r.location.map(|l| l.lat)),
-        r.location.map(|l| l.country).unwrap_or("-"),
-        r.location.map(|l| l.centroid_fallback as u8).unwrap_or(0),
-        r.alloc_date,
-        r.asn,
-        if links.is_empty() { "-".to_string() } else { links.join(",") },
-    )
-}
-
-/// Writes the full analysis as a TSV dataset.
-pub fn write_dataset<W: Write>(w: &mut W, analysis: &WorldAnalysis) -> io::Result<()> {
-    writeln!(w, "{HEADER}")?;
-    for r in &analysis.reports {
-        write_row(w, r)?;
-    }
-    Ok(())
-}
-
-/// The analysis as owned [`DatasetRow`]s with every float canonicalized
-/// to the TSV print precision — exactly the rows [`read_dataset`] would
-/// return after a [`write_dataset`] roundtrip, without going through
-/// text. This is the canonical input to [`crate::binfmt::encode_dataset`]:
-/// serializing these rows with [`write_dataset_rows`] is byte-identical
-/// to [`write_dataset`] on the same analysis.
-pub fn dataset_rows(analysis: &WorldAnalysis) -> Vec<DatasetRow> {
-    use crate::binfmt::canon;
-    analysis
-        .reports
-        .iter()
-        .map(|r| DatasetRow {
+impl DatasetRow {
+    /// The row a report exports as: every float canonicalized to its
+    /// print precision, so the row equals what [`read_dataset`] returns
+    /// after a TSV roundtrip.
+    pub(crate) fn from_report(r: &WorldBlockReport) -> Self {
+        DatasetRow {
             block_id: r.summary.block_id,
             class: r.summary.class,
-            phase: r.summary.phase.map(|x| canon(x, 6)),
-            mean_a: canon(r.summary.mean_a, 6),
-            strongest_cpd: canon(r.summary.strongest_cpd, 4),
+            phase: r.summary.phase.map(|x| canon(x, FLOAT_DECIMALS)),
+            mean_a: canon(r.summary.mean_a, FLOAT_DECIMALS),
+            strongest_cpd: canon(r.summary.strongest_cpd, CPD_DECIMALS),
             stationary: r.summary.stationary,
             outages: r.summary.outages,
             probes: r.summary.total_probes,
-            lon: r.location.map(|l| canon(l.lon, 6)),
-            lat: r.location.map(|l| canon(l.lat, 6)),
+            lon: r.location.map(|l| canon(l.lon, FLOAT_DECIMALS)),
+            lat: r.location.map(|l| canon(l.lat, FLOAT_DECIMALS)),
             country: r.location.map(|l| l.country.to_string()),
             centroid: r.location.map(|l| l.centroid_fallback).unwrap_or(false),
             alloc: r.alloc_date.to_string(),
             asn: r.asn,
             links: r.link_features.iter().map(|f| f.keyword().to_string()).collect(),
-        })
-        .collect()
+        }
+    }
+}
+
+/// Writes one row in TSV form — the only row formatter.
+fn write_row<W: Write>(w: &mut W, r: &DatasetRow) -> io::Result<()> {
+    let opt =
+        |v: Option<f64>| v.map(|x| format!("{x:.FLOAT_DECIMALS$}")).unwrap_or_else(|| "-".into());
+    writeln!(
+        w,
+        "{}\t{}\t{}\t{:.FLOAT_DECIMALS$}\t{:.CPD_DECIMALS$}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
+        r.block_id,
+        r.class.letter(),
+        opt(r.phase),
+        r.mean_a,
+        r.strongest_cpd,
+        r.stationary as u8,
+        r.outages,
+        r.probes,
+        opt(r.lon),
+        opt(r.lat),
+        r.country.as_deref().unwrap_or("-"),
+        r.centroid as u8,
+        r.alloc,
+        r.asn,
+        if r.links.is_empty() { "-".to_string() } else { r.links.join(",") },
+    )
+}
+
+/// Writes the full analysis as a TSV dataset.
+pub fn write_dataset<W: Write>(w: &mut W, analysis: &WorldAnalysis) -> io::Result<()> {
+    writeln!(w, "{}", header())?;
+    for r in &analysis.reports {
+        write_row(w, &DatasetRow::from_report(r))?;
+    }
+    Ok(())
+}
+
+/// The analysis as owned [`DatasetRow`]s (`DatasetRow::from_report`
+/// per report) — exactly the rows [`read_dataset`] would return after a
+/// [`write_dataset`] roundtrip, without going through text. This is the
+/// canonical input to [`crate::binfmt::encode_dataset`]: serializing
+/// these rows with [`write_dataset_rows`] is byte-identical to
+/// [`write_dataset`] on the same analysis.
+pub fn dataset_rows(analysis: &WorldAnalysis) -> Vec<DatasetRow> {
+    analysis.reports.iter().map(DatasetRow::from_report).collect()
 }
 
 /// Writes owned rows as a TSV dataset with the exact [`write_dataset`]
 /// formatting, so a binary decode re-serializes byte-identically.
 pub fn write_dataset_rows<W: Write>(w: &mut W, rows: &[DatasetRow]) -> io::Result<()> {
-    writeln!(w, "{HEADER}")?;
-    let opt = |v: Option<f64>| v.map(|x| format!("{x:.6}")).unwrap_or_else(|| "-".into());
+    writeln!(w, "{}", header())?;
     for r in rows {
-        writeln!(
-            w,
-            "{}\t{}\t{}\t{:.6}\t{:.4}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
-            r.block_id,
-            r.class.letter(),
-            opt(r.phase),
-            r.mean_a,
-            r.strongest_cpd,
-            r.stationary as u8,
-            r.outages,
-            r.probes,
-            opt(r.lon),
-            opt(r.lat),
-            r.country.as_deref().unwrap_or("-"),
-            r.centroid as u8,
-            r.alloc,
-            r.asn,
-            if r.links.is_empty() { "-".to_string() } else { r.links.join(",") },
-        )?;
+        write_row(w, r)?;
     }
     Ok(())
 }
@@ -299,7 +334,7 @@ impl std::fmt::Display for ParseError {
             ParseError::Io(e) => write!(f, "io error: {e}"),
             ParseError::BadHeader(h) => write!(f, "unrecognized header: {h:?}"),
             ParseError::BadShape { line, fields } => {
-                write!(f, "line {line}: expected 15 fields, found {fields}")
+                write!(f, "line {line}: expected {} fields, found {fields}", COLUMNS.len())
             }
             ParseError::BadField(msg) => write!(f, "bad field: {msg}"),
         }
@@ -322,6 +357,14 @@ fn parse_opt_f64(s: &str) -> Result<Option<f64>, ParseError> {
     }
 }
 
+fn parse_flag(s: &str) -> Result<bool, ParseError> {
+    match s {
+        "0" => Ok(false),
+        "1" => Ok(true),
+        _ => Err(ParseError::BadField(format!("not a 0/1 flag: {s:?}"))),
+    }
+}
+
 fn parse_num<T: std::str::FromStr>(s: &str) -> Result<T, ParseError> {
     s.parse().map_err(|_| ParseError::BadField(format!("not a number: {s:?}")))
 }
@@ -329,9 +372,9 @@ fn parse_num<T: std::str::FromStr>(s: &str) -> Result<T, ParseError> {
 /// Reads a dataset written by [`write_dataset`].
 pub fn read_dataset<R: BufRead>(r: R) -> Result<Vec<DatasetRow>, ParseError> {
     let mut lines = r.lines();
-    let header = lines.next().ok_or_else(|| ParseError::BadHeader("<empty file>".into()))??;
-    if header != HEADER {
-        return Err(ParseError::BadHeader(header));
+    let first = lines.next().ok_or_else(|| ParseError::BadHeader("<empty file>".into()))??;
+    if first != header() {
+        return Err(ParseError::BadHeader(first));
     }
     let mut rows = Vec::new();
     for (i, line) in lines.enumerate() {
@@ -340,7 +383,7 @@ pub fn read_dataset<R: BufRead>(r: R) -> Result<Vec<DatasetRow>, ParseError> {
             continue;
         }
         let fields: Vec<&str> = line.split('\t').collect();
-        if fields.len() != 15 {
+        if fields.len() != COLUMNS.len() {
             return Err(ParseError::BadShape { line: i + 2, fields: fields.len() });
         }
         rows.push(DatasetRow {
@@ -350,13 +393,13 @@ pub fn read_dataset<R: BufRead>(r: R) -> Result<Vec<DatasetRow>, ParseError> {
             phase: parse_opt_f64(fields[2])?,
             mean_a: parse_num(fields[3])?,
             strongest_cpd: parse_num(fields[4])?,
-            stationary: fields[5] == "1",
+            stationary: parse_flag(fields[5])?,
             outages: parse_num(fields[6])?,
             probes: parse_num(fields[7])?,
             lon: parse_opt_f64(fields[8])?,
             lat: parse_opt_f64(fields[9])?,
             country: if fields[10] == "-" { None } else { Some(fields[10].to_string()) },
-            centroid: fields[11] == "1",
+            centroid: parse_flag(fields[11])?,
             alloc: fields[12].to_string(),
             asn: parse_num(fields[13])?,
             links: if fields[14] == "-" {
@@ -425,7 +468,7 @@ mod tests {
 
     #[test]
     fn shape_errors_carry_line_numbers() {
-        let text = format!("{HEADER}\n1\td\n");
+        let text = format!("{}\n1\td\n", header());
         match read_dataset(text.as_bytes()) {
             Err(ParseError::BadShape { line, fields }) => {
                 assert_eq!(line, 2);
@@ -437,8 +480,29 @@ mod tests {
 
     #[test]
     fn bad_class_is_rejected() {
-        let text = format!("{HEADER}\n1\tX\t-\t0.5\t1.0\t1\t0\t10\t-\t-\t-\t0\t1990-01\t7\t-\n");
+        let text =
+            format!("{}\n1\tX\t-\t0.5\t1.0\t1\t0\t10\t-\t-\t-\t0\t1990-01\t7\t-\n", header());
         assert!(matches!(read_dataset(text.as_bytes()), Err(ParseError::BadField(_))));
+    }
+
+    #[test]
+    fn flags_accept_only_zero_and_one() {
+        let row = |stationary: &str, centroid: &str| {
+            format!(
+                "{}\n1\td\t-\t0.5\t1.0\t{stationary}\t0\t10\t-\t-\t-\t{centroid}\t1990-01\t7\t-\n",
+                header()
+            )
+        };
+        let rows = read_dataset(row("1", "0").as_bytes()).unwrap();
+        assert!(rows[0].stationary && !rows[0].centroid);
+        for bad in ["2", "true", "", " 1", "01"] {
+            for text in [row(bad, "0"), row("0", bad)] {
+                assert!(
+                    matches!(read_dataset(text.as_bytes()), Err(ParseError::BadField(_))),
+                    "flag {bad:?} must be rejected"
+                );
+            }
+        }
     }
 
     #[test]

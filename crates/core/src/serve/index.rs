@@ -19,7 +19,7 @@ use std::collections::{BTreeMap, HashMap};
 
 use super::http::json_escape;
 use super::lru::{LruOutcome, ShardedLru};
-use crate::export::DatasetRow;
+use crate::export::{DatasetRow, CPD_DECIMALS, FLOAT_DECIMALS};
 use sleepwatch_spectral::DiurnalClass;
 
 /// Counts behind one aggregation key (a country, an AS, a link type, or
@@ -89,7 +89,7 @@ pub fn link_body(keyword: &str, c: &GroupCounts) -> String {
 /// The `/v1/block/{id}` body for one row.
 pub fn block_body(r: &DatasetRow) -> String {
     let class = r.class.letter();
-    let phase = r.phase.map(|p| format!("{p:.6}")).unwrap_or_else(|| "null".into());
+    let phase = r.phase.map(|p| format!("{p:.FLOAT_DECIMALS$}")).unwrap_or_else(|| "null".into());
     let country = r
         .country
         .as_deref()
@@ -97,8 +97,8 @@ pub fn block_body(r: &DatasetRow) -> String {
         .unwrap_or_else(|| "null".into());
     let links: Vec<String> = r.links.iter().map(|l| format!("\"{}\"", json_escape(l))).collect();
     format!(
-        "{{\"block\":{},\"class\":\"{class}\",\"phase\":{phase},\"mean_a\":{:.6},\
-         \"strongest_cpd\":{:.4},\"stationary\":{},\"outages\":{},\"probes\":{},\
+        "{{\"block\":{},\"class\":\"{class}\",\"phase\":{phase},\"mean_a\":{:.FLOAT_DECIMALS$},\
+         \"strongest_cpd\":{:.CPD_DECIMALS$},\"stationary\":{},\"outages\":{},\"probes\":{},\
          \"country\":{country},\"asn\":{},\"links\":[{}]}}",
         r.block_id,
         r.mean_a,

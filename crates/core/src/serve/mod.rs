@@ -35,10 +35,9 @@ use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
-use crate::export::{dataset_rows, DatasetRow};
+use crate::export::DatasetRow;
 use crate::framing::DecodeError;
 use crate::journal::{replay, JournalHeader, ReplayOutcome};
-use crate::worldrun::WorldAnalysis;
 use http::{error_body, is_timeout, RequestError};
 use index::Filter;
 use sleepwatch_simnet::WorldConfig;
@@ -117,7 +116,7 @@ pub fn rows_from_dataset_bytes(
 /// [`crate::journal::open_resume`] gives. Replay tolerates a damaged
 /// tail like crash recovery does; duplicate block records keep the
 /// first occurrence (the crash-resume rule), and rows come out exactly
-/// as [`dataset_rows`] renders them — so a journal-loaded server is
+/// as `DatasetRow::from_report` renders them — so a journal-loaded server is
 /// byte-identical to a dataset-loaded one.
 pub fn rows_from_journal_bytes(
     bytes: &[u8],
@@ -138,7 +137,7 @@ pub fn rows_from_journal_bytes(
     if reports.is_empty() {
         return Err(LoadError::Empty);
     }
-    Ok(dataset_rows(&WorldAnalysis { reports, quarantined: Vec::new() }))
+    Ok(reports.iter().map(DatasetRow::from_report).collect())
 }
 
 /// Loads servable rows from `path`, sniffing the format by magic: an

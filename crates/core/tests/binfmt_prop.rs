@@ -76,6 +76,8 @@ proptest! {
             for (got, want) in back.iter().zip(slice) {
                 prop_assert_eq!(dbg(got), dbg(want));
             }
+            // On clean input the healing reader is the strict reader.
+            prop_assert_eq!(decode_prefix(&bytes, world), (back, None));
         }
     }
 

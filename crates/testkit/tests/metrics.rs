@@ -7,7 +7,11 @@
 //! process-wide; activity is isolated with snapshot deltas around the
 //! measured call.
 
-use sleepwatch_core::{analyze_world, AnalysisConfig, WorldRun, WorldRunMode};
+use sleepwatch_core::binfmt::MAX_FRAME_ROWS;
+use sleepwatch_core::{
+    analyze_world, dataset_rows, decode_dataset, decode_prefix, encode_dataset, AnalysisConfig,
+    DatasetMode, DatasetRow, WorldRun, WorldRunMode,
+};
 use sleepwatch_obs::Snapshot;
 use sleepwatch_probing::{FaultPlan, TrinocularProber};
 use sleepwatch_simnet::World;
@@ -349,5 +353,46 @@ fn survey_probes_are_counted_separately() {
         assert_eq!(d.counter("probing.survey_probes"), result.total_probes);
         assert_eq!(result.total_probes, 256 * result.rounds);
         assert_eq!(d.counter("probing.probes_sent"), 0, "surveys must not count as adaptive");
+    });
+}
+
+/// The `format.*` counters conserve records across the binary container:
+/// one encode counts every row once, one clean decode counts them back,
+/// and a damaged file counts exactly one error and no decoded records —
+/// even when intact leading frames were decoded before the damage.
+#[test]
+fn format_counters_conserve_records() {
+    let _g = lock();
+    with_metrics(|| {
+        let world = fixtures::small_world();
+        let template =
+            dataset_rows(&analyze_world(&world, &fixtures::small_world_cfg(&world), 2, None));
+        // Two frames, so the truncated copy still holds one intact frame.
+        let rows: Vec<DatasetRow> = (0..MAX_FRAME_ROWS as u64 + 10)
+            .map(|i| DatasetRow { block_id: i, ..template[i as usize % template.len()].clone() })
+            .collect();
+        let n = rows.len() as u64;
+
+        let (bytes, d) = measure(|| encode_dataset(&rows, DatasetMode::SelfContained).unwrap());
+        assert_eq!(d.counter("format.records_encoded"), n);
+        assert_eq!(d.counter("format.datasets_encoded"), 1);
+
+        let (back, d) = measure(|| decode_dataset(&bytes, None).unwrap());
+        assert_eq!(back.len() as u64, n);
+        assert_eq!(d.counter("format.datasets_decoded"), 1);
+        assert_eq!(d.counter("format.records_decoded"), n);
+        assert_eq!(d.counter("format.decode_errors"), 0);
+
+        let cut = &bytes[..bytes.len() - 5];
+        let (res, d) = measure(|| decode_dataset(cut, None));
+        assert!(res.is_err());
+        assert_eq!(d.counter("format.decode_errors"), 1);
+        assert_eq!(d.counter("format.records_decoded"), 0);
+        assert_eq!(d.counter("format.datasets_decoded"), 0);
+
+        let ((prefix, err), d) = measure(|| decode_prefix(cut, None));
+        assert_eq!(prefix.len(), MAX_FRAME_ROWS);
+        assert!(err.is_some());
+        assert_eq!(d.counter("format.decode_errors"), 1);
     });
 }

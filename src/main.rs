@@ -37,7 +37,7 @@
 use sleepwatch::core::{
     analyze_block, analyze_world, decode_dataset, estimate_size, feed_identity, ingest_source,
     ingest_source_resumable, ingest_world, ingest_world_resumable, read_dataset, world_feed,
-    write_dataset, write_dataset_bin_file, write_dataset_rows, AnalysisConfig, IngestConfig,
+    write_dataset_bin_file, write_dataset_file, write_dataset_rows, AnalysisConfig, IngestConfig,
     TransportOutcome,
 };
 use sleepwatch::geoecon::country::COUNTRIES;
@@ -46,6 +46,7 @@ use sleepwatch::probing::transport::{
     TcpConfig, TcpEventSource, TransportError,
 };
 use sleepwatch::simnet::{BlockProfile, BlockSpec, World, WorldConfig, WorldSource};
+use std::io::Write;
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -244,19 +245,13 @@ fn cmd_analyze(a: &Args) -> ExitCode {
                 }
                 println!("\nbinary dataset written to {path} (seed-joined)");
             }
-            Format::Tsv => match std::fs::File::create(path) {
-                Ok(mut f) => {
-                    if let Err(e) = write_dataset(&mut f, &analysis) {
-                        eprintln!("could not write dataset: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                    println!("\ndataset written to {path}");
-                }
-                Err(e) => {
-                    eprintln!("could not create {path}: {e}");
+            Format::Tsv => {
+                if let Err(e) = write_dataset_file(Path::new(path), &analysis) {
+                    eprintln!("could not write dataset: {e}");
                     return ExitCode::FAILURE;
                 }
-            },
+                println!("\ndataset written to {path}");
+            }
         }
     }
     ExitCode::SUCCESS
@@ -309,7 +304,11 @@ fn cmd_convert(a: &Args) -> ExitCode {
                 .map_err(|e| e.to_string())
         }
         Format::Tsv => std::fs::File::create(output)
-            .and_then(|mut f| write_dataset_rows(&mut f, &rows))
+            .and_then(|f| {
+                let mut w = std::io::BufWriter::new(f);
+                write_dataset_rows(&mut w, &rows)?;
+                w.flush()
+            })
             .map_err(|e| e.to_string()),
     };
     if let Err(e) = result {
@@ -667,7 +666,6 @@ fn cmd_serve(a: &Args) -> ExitCode {
         }
     };
     println!("serving {blocks} blocks on http://{} ({} threads)", server.addr(), scfg.threads);
-    use std::io::Write as _;
     let _ = std::io::stdout().flush();
     loop {
         std::thread::park();
