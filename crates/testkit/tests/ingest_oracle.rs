@@ -15,12 +15,14 @@
 //! default keeps debug tier-1 runs tractable while release runs cover
 //! the full world.
 
+use std::collections::HashMap;
+
 use sleepwatch_core::journal::record_boundaries;
 use sleepwatch_core::{
-    analyze_block, analyze_world, ingest_world, ingest_world_resumable, AnalysisConfig,
-    IngestConfig, WorldAnalysis, WorldRun,
+    analyze_block, analyze_world, ingest_world, ingest_world_resumable, world_feed, AnalysisConfig,
+    IngestConfig, OnlineConfig, OnlineDetector, WorldAnalysis, WorldRun,
 };
-use sleepwatch_probing::{FaultPlan, TrinocularProber};
+use sleepwatch_probing::{FaultPlan, RoundEvent, TrinocularProber};
 use sleepwatch_simnet::{World, WorldConfig, WorldSource};
 use sleepwatch_testkit::oracles::{assert_batch_online_agree, clean_checked};
 use sleepwatch_testkit::resilience::scratch_path;
@@ -71,6 +73,39 @@ fn batch_reference(cfg: &AnalysisConfig) -> WorldAnalysis {
     analyze_world(&world, cfg, 8, None)
 }
 
+/// The live-detector counters `(live_strict, live_classifications)` a
+/// world run must report: each block's `Round` values, in feed order,
+/// pushed through an [`OnlineDetector`] at the live configuration (the
+/// default monitoring window clamped to the run length), tallied at the
+/// block's `Finish`.
+fn live_reference(source: &WorldSource, cfg: &AnalysisConfig) -> (u64, u64) {
+    let live = OnlineConfig {
+        window_rounds: (cfg.rounds as usize).min(OnlineConfig::default().window_rounds).max(4),
+        ..OnlineConfig::default()
+    };
+    let (feed, quarantined) = world_feed(source, cfg, &IngestConfig::default());
+    assert!(quarantined.is_empty(), "reference feed quarantined blocks");
+    let mut lanes: HashMap<u64, OnlineDetector> = HashMap::new();
+    let (mut strict, mut classifications) = (0u64, 0u64);
+    for ev in feed {
+        match ev {
+            RoundEvent::Round { block_id, a_short, .. } => {
+                lanes
+                    .entry(block_id)
+                    .or_insert_with(|| OnlineDetector::new(live))
+                    .push_value(a_short);
+            }
+            RoundEvent::Finish { block_id, .. } => {
+                if let Some(det) = lanes.remove(&block_id) {
+                    strict += u64::from(det.class().is_strict());
+                    classifications += det.classifications();
+                }
+            }
+        }
+    }
+    (strict, classifications)
+}
+
 /// The oracle body: at every shard count (each with its own arrival
 /// order), the streamed world must reproduce the batch analysis
 /// element for element — verdicts, phases, and the whole joined report.
@@ -79,6 +114,7 @@ fn world_differential(name: &str) {
     let cfg = oracle_cfg(preset(name));
     let batch = batch_reference(&cfg);
     assert!(batch.quarantined.is_empty(), "{name}: reference run quarantined blocks");
+    let (live_strict, live_classifications) = live_reference(&source, &cfg);
     for (i, shards) in SHARDS.into_iter().enumerate() {
         let icfg = IngestConfig {
             shards,
@@ -118,6 +154,11 @@ fn world_differential(name: &str) {
         }
         assert_eq!(streamed.stats.blocks, batch.reports.len(), "{name}@{shards}: stats.blocks");
         assert!(streamed.stats.rounds_routed > 0, "{name}@{shards}: no rounds routed");
+        assert_eq!(streamed.stats.live_strict, live_strict, "{name}@{shards}: live_strict");
+        assert_eq!(
+            streamed.stats.live_classifications, live_classifications,
+            "{name}@{shards}: live_classifications"
+        );
     }
 
     // Spot-check the per-block anchor directly: a handful of streamed
