@@ -16,10 +16,11 @@
 //!   peak queue memory is `(capacity + batch_events) ×
 //!   size_of::<RoundEvent>()` per shard, and spent batch buffers recycle
 //!   through a pool so the feeder rewrites the same cache-hot lines.
-//! * **Live detection.** Each in-flight block ("lane") feeds an
-//!   [`OnlineDetector`] round by round — the bounded-window monitoring
-//!   verdict, available mid-stream and checkpointable via
-//!   [`crate::streaming::DetectorSnapshot`].
+//! * **Live detection.** Each in-flight block ("lane") keeps only its
+//!   observations. At `Finish` the shard computes the bounded-window
+//!   monitoring verdict once, with [`OnlineDetector::final_verdict`] —
+//!   the class and FFT count an [`OnlineDetector`] pushed every round
+//!   would report.
 //! * **Exact finalization.** When a block's stream ends, the shard runs
 //!   the *identical* code the batch pipeline runs — clean, FFT, classify,
 //!   geo join — over the observations it accumulated, so the final
@@ -133,7 +134,9 @@ pub struct IngestOutcome {
 /// [`EventQueue::pop`] while it is empty and not yet closed. One
 /// oversized batch is admitted into an *empty* queue rather than
 /// deadlocking, so `batch_events > queue_capacity` degrades to
-/// lock-step handoff instead of hanging.
+/// lock-step handoff instead of hanging. A queue whose worker has
+/// unwound ([`AbandonOnDrop`]) drops further pushes instead of waiting
+/// for room that never comes.
 struct EventQueue {
     state: std::sync::Mutex<QueueState>,
     room: std::sync::Condvar,
@@ -146,6 +149,7 @@ struct QueueState {
     batches: VecDeque<Vec<RoundEvent>>,
     events: usize,
     closed: bool,
+    abandoned: bool,
     high_water: usize,
     stalls: u64,
 }
@@ -167,9 +171,12 @@ impl EventQueue {
         let mut s = self.state.lock().expect("queue lock");
         if s.events + batch.len() > self.capacity && s.events > 0 {
             s.stalls += 1;
-            while s.events + batch.len() > self.capacity && s.events > 0 {
+            while s.events + batch.len() > self.capacity && s.events > 0 && !s.abandoned {
                 s = self.room.wait(s).expect("queue lock");
             }
+        }
+        if s.abandoned {
+            return;
         }
         s.events += batch.len();
         s.high_water = s.high_water.max(s.events);
@@ -199,10 +206,29 @@ impl EventQueue {
         self.ready.notify_all();
     }
 
+    /// Marks the queue as having no consumer and wakes a feeder waiting
+    /// for room.
+    fn abandon(&self) {
+        self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner).abandoned = true;
+        self.room.notify_all();
+    }
+
     /// `(high_water, stalls)` after the run.
     fn pressure(&self) -> (usize, u64) {
         let s = self.state.lock().expect("queue lock");
         (s.high_water, s.stalls)
+    }
+}
+
+/// Held by a shard worker for as long as it consumes its queue. When the
+/// worker exits — including by a panic outside the per-block quarantine —
+/// the queue is abandoned, so the feeder stops pushing into it and the
+/// run ends with the worker's panic instead of hanging on a full queue.
+struct AbandonOnDrop<'a>(&'a EventQueue);
+
+impl Drop for AbandonOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.abandon();
     }
 }
 
@@ -283,13 +309,6 @@ impl<'a> Router<'a> {
     }
 }
 
-/// One in-flight block on a shard: the observations the batch pipeline
-/// would have collected, plus the live bounded-window detector.
-struct Lane {
-    obs: Vec<(u64, f64)>,
-    live: OnlineDetector,
-}
-
 /// The live detector runs the default monitoring window, clamped to the
 /// run length (a window longer than the run would never warm up *and*
 /// never needs to).
@@ -307,7 +326,11 @@ struct ShardState<'a> {
     source: &'a WorldSource,
     cfg: &'a AnalysisConfig,
     live_cfg: OnlineConfig,
-    lanes: HashMap<u64, Lane>,
+    /// In-flight blocks ("lanes"): the `(round, Âs)` observations the
+    /// batch pipeline would have collected, in arrival order.
+    lanes: HashMap<u64, Vec<(u64, f64)>>,
+    /// The finishing lane's `Âs` values, reused across blocks.
+    live_values: Vec<f64>,
     scratch: BlockScratch,
     rounds: u64,
     live_strict: u64,
@@ -327,6 +350,7 @@ impl<'a> ShardState<'a> {
             cfg,
             live_cfg,
             lanes: HashMap::new(),
+            live_values: Vec::new(),
             scratch: BlockScratch::new(),
             rounds: 0,
             live_strict: 0,
@@ -339,32 +363,27 @@ impl<'a> ShardState<'a> {
         match ev {
             RoundEvent::Round { block_id, round, a_short } => {
                 let rounds = self.cfg.rounds as usize;
-                let lane = self.lanes.entry(block_id).or_insert_with(|| Lane {
-                    // Reserving the nominal run length up front keeps lane
-                    // growth reallocations out of the per-round hot path.
-                    obs: Vec::with_capacity(rounds),
-                    live: OnlineDetector::new(self.live_cfg),
-                });
-                lane.obs.push((round, a_short));
-                lane.live.push_value(a_short);
+                // Reserving the nominal run length up front keeps lane
+                // growth reallocations out of the per-round hot path.
+                let lane = self.lanes.entry(block_id).or_insert_with(|| Vec::with_capacity(rounds));
+                lane.push((round, a_short));
                 self.rounds += 1;
             }
             RoundEvent::Finish { block_id, outages, total_probes } => {
-                let lane = self.lanes.remove(&block_id).unwrap_or_else(|| Lane {
-                    obs: Vec::new(),
-                    live: OnlineDetector::new(self.live_cfg),
-                });
-                if lane.live.class().is_strict() {
-                    self.live_strict += 1;
-                }
-                self.live_classifications += lane.live.classifications();
+                let obs = self.lanes.remove(&block_id).unwrap_or_default();
+                self.live_values.clear();
+                self.live_values.extend(obs.iter().map(|&(_, a_short)| a_short));
+                let (live_class, classifications) =
+                    OnlineDetector::final_verdict(&self.live_values, &self.live_cfg);
+                self.live_strict += u64::from(live_class.is_strict());
+                self.live_classifications += classifications;
                 let source = self.source;
                 let cfg = self.cfg;
                 let scratch = &mut self.scratch;
                 let result = catch_unwind(AssertUnwindSafe(|| {
                     hooks::fire(block_id);
                     let block = source.generate_block(block_id);
-                    let fill = clean_fft_observations(&lane.obs, cfg, scratch);
+                    let fill = clean_fft_observations(&obs, cfg, scratch);
                     let probed = ProbedBlock { outages, total_probes, fill_fraction: fill };
                     let (summary, _diurnal, _trend) = classify_probed(&block, cfg, scratch, probed);
                     join_block(source.geodb(), &block, summary)
@@ -459,6 +478,7 @@ fn run_engine(
             let planted = planted.clone();
             s.spawn(move |_| {
                 hooks::adopt(planted);
+                let _abandon = AbandonOnDrop(q);
                 let mut state = ShardState::new(source, cfg, live_cfg);
                 let mut done: Vec<Finished> = Vec::new();
                 while let Some(batch) = q.pop() {
@@ -917,6 +937,35 @@ mod tests {
         assert_eq!(out.quarantined[0].block_id, 7);
         assert_eq!(out.reports.len(), 11);
         assert!(out.reports.iter().all(|r| r.summary.block_id != 7));
+    }
+
+    /// A worker that dies outside its per-block quarantine abandons its
+    /// queue: a feeder pushing far past the queue's capacity returns
+    /// instead of waiting for room forever.
+    #[test]
+    fn feeder_returns_when_its_worker_panics() {
+        let queue = std::sync::Arc::new(EventQueue::new(4));
+        let worker = {
+            let queue = std::sync::Arc::clone(&queue);
+            std::thread::spawn(move || {
+                let _abandon = AbandonOnDrop(&queue);
+                queue.pop();
+                panic!("worker dies outside the quarantine");
+            })
+        };
+        let (done, returned) = std::sync::mpsc::channel();
+        let feeder = std::thread::spawn(move || {
+            let ev = RoundEvent::Round { block_id: 0, round: 0, a_short: 0.5 };
+            for _ in 0..64 {
+                queue.push(vec![ev; 2]);
+            }
+            let _ = done.send(());
+        });
+        returned
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("feeder blocked on a queue whose worker is gone");
+        feeder.join().expect("feeder thread");
+        assert!(worker.join().is_err(), "the worker's panic surfaces at join");
     }
 
     /// Tiny queues force backpressure; the outcome is unchanged and the

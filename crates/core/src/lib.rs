@@ -77,7 +77,7 @@ pub use serve::{
     load_rows, rows_from_dataset_bytes, rows_from_journal_bytes, ConnStats, LoadError, QueryServer,
     ServeConfig, ServeState,
 };
-pub use streaming::{DetectorSnapshot, OnlineConfig, OnlineDetector};
+pub use streaming::{OnlineConfig, OnlineDetector};
 pub use timeofday::{activity_pattern, peak_local_hour, peak_utc_hour, ActivityPattern};
 /// The older name for a lazy-source [`analyze_world`], kept because the
 /// `perfbench` benchmark calls it.
